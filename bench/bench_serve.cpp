@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -28,16 +27,6 @@
 using namespace dqndock;
 
 namespace {
-
-std::vector<std::size_t> parseHidden(const std::string& spec) {
-  std::vector<std::size_t> layers;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) layers.push_back(static_cast<std::size_t>(std::stoul(item)));
-  }
-  return layers;
-}
 
 std::vector<double> makeState(std::size_t dim, std::uint64_t seed) {
   Rng rng(seed);
@@ -52,12 +41,10 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int run(const CliArgs& args) {
   const std::size_t dim = static_cast<std::size_t>(args.getInt("dim", 16599));
-  const std::vector<std::size_t> hidden = parseHidden(args.getString("hidden", "135,135"));
+  const std::vector<std::size_t> hidden =
+      parseSizeList(args.getString("hidden", "135,135"), "hidden");
   const int actions = static_cast<int>(args.getInt("actions", 12));
   const std::size_t rows = static_cast<std::size_t>(args.getInt("rows", 2048));
   const std::size_t maxBatch = static_cast<std::size_t>(args.getInt("batch", 32));
@@ -131,4 +118,20 @@ int main(int argc, char** argv) {
               "%zu rows — the speedup column is the serving layer's reason to exist.\n",
               maxBatch, maxBatch);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed flag values ("--hidden=135,abc") print usage and exit 1 —
+  // never an uncaught-exception abort.
+  try {
+    return run(CliArgs(argc, argv));
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "bench_serve: %s\n", e.what());
+    std::fprintf(stderr,
+                 "usage: bench_serve [--dim=16599] [--hidden=135,135] [--actions=12]\n"
+                 "                   [--rows=2048] [--batch=32] [--flush-us=200]\n");
+    return 1;
+  }
 }

@@ -23,6 +23,7 @@ Stdlib only. Usage:
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,7 @@ def main() -> None:
         "kernel_tier": raw.get("dqndock_kernel_tier", ""),
         "gemm_kernel_tier": gemm_tier,
         "fold_static": fold_static,
+        "host_cpus": os.cpu_count(),
         "episodes": args.episodes,
         "max_steps": raw.get("max_steps"),
         "v1_bit_identity_checked": raw.get("v1_bit_identity_checked", False),

@@ -12,15 +12,27 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Deterministic auto-generated exchange-dir name. The configured seed
-/// (not std::random_device) drives the name so runs are reproducible;
-/// the process-wide counter keeps simultaneous FileEnvs in one process
-/// on distinct directories even with equal seeds.
-std::string exchangeDirName(std::uint64_t seed) {
-  static std::atomic<std::uint64_t> instance{0};
-  const std::uint64_t n = instance.fetch_add(1, std::memory_order_relaxed);
+/// Deterministic auto-generated exchange-dir name for instance `n`. The
+/// configured seed (not std::random_device) drives the name so runs are
+/// reproducible; the instance index keeps simultaneous FileEnvs in one
+/// process on distinct directories even with equal seeds.
+std::string exchangeDirName(std::uint64_t seed, std::uint64_t n) {
   Rng rng(seed ^ (n * 0x9e3779b97f4a7c15ULL));
   return "dqndock-ipc-" + std::to_string(rng()) + "-" + std::to_string(n);
+}
+
+/// Create and claim a fresh auto-named directory under the temp dir. A
+/// name that already exists belongs to someone else — another process
+/// counting instances from the same seed — so move on to the next
+/// instance index rather than share (and later delete) it.
+fs::path claimExchangeDir(std::uint64_t seed) {
+  static std::atomic<std::uint64_t> instance{0};
+  const fs::path root = fs::temp_directory_path();
+  for (;;) {
+    const std::uint64_t n = instance.fetch_add(1, std::memory_order_relaxed);
+    fs::path dir = root / exchangeDirName(seed, n);
+    if (fs::create_directory(dir)) return dir;
+  }
 }
 
 }  // namespace
@@ -28,10 +40,11 @@ std::string exchangeDirName(std::uint64_t seed) {
 FileEnv::FileEnv(DockingEnv& env, fs::path exchangeDir, std::uint64_t seed)
     : env_(env), dir_(std::move(exchangeDir)) {
   if (dir_.empty()) {
-    dir_ = fs::temp_directory_path() / exchangeDirName(seed);
+    dir_ = claimExchangeDir(seed);
     ownsDir_ = true;
+  } else {
+    fs::create_directories(dir_);
   }
-  fs::create_directories(dir_);
 }
 
 FileEnv::~FileEnv() {

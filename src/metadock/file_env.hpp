@@ -25,11 +25,12 @@ class FileEnv {
   /// Wraps `env`. Files live under `exchangeDir` (created if missing);
   /// pass an empty path for an auto-named directory under the system temp
   /// dir. Auto-naming is deterministic: the name is derived from `seed`
-  /// via the project Rng plus a process-wide instance counter (so two
-  /// FileEnvs in one process never collide), not from std::random_device
-  /// — the same seed reproduces the same directory sequence run to run.
-  /// Concurrent *processes* sharing a temp dir should pass distinct seeds
-  /// or explicit directories.
+  /// via the project Rng plus a process-wide instance counter, not from
+  /// std::random_device — the same seed reproduces the same directory
+  /// sequence run to run. The auto-named directory must be newly created
+  /// by this instance; a name that already exists is skipped for the next
+  /// instance index. Only a directory this instance created is removed
+  /// on destruction.
   explicit FileEnv(DockingEnv& env, std::filesystem::path exchangeDir = {},
                    std::uint64_t seed = 0);
   ~FileEnv();

@@ -123,26 +123,59 @@ std::uint64_t DenseLayer::foldCount() const {
   return fold_ ? fold_->folds.load(std::memory_order_relaxed) : 0;
 }
 
+const Tensor& DenseLayer::foldedBias() const {
+  if (!fold_) throw std::logic_error("DenseLayer::foldedBias: folding not configured");
+  refold();
+  return fold_->c;
+}
+
+namespace {
+/// Rows per pass of the refold's static-prefix dot products.
+constexpr std::size_t kRefoldRows = 8;
+
+/// c[k] = sum_j w[k][j] * xs[j] + b[k] for N consecutive rows (row k at
+/// w + k * stride) in one pass over xs. Each row keeps its own
+/// accumulator summed in j order, so every c[k] is bitwise the serial
+/// one-row dot; the rows only share the xs loads and overlap their add
+/// latencies.
+template <std::size_t N>
+void foldRows(const double* w, std::size_t stride, const double* xs, std::size_t s,
+              const double* b, double* c) {
+  double acc[N] = {};
+  for (std::size_t j = 0; j < s; ++j) {
+    const double x = xs[j];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < N; ++k) acc[k] += w[k * stride + j] * x;
+  }
+  for (std::size_t k = 0; k < N; ++k) c[k] = acc[k] + b[k];
+}
+}  // namespace
+
 void DenseLayer::refold() const {
   Fold& f = *fold_;
   const std::uint64_t v = version_;
   if (f.cachedVersion.load(std::memory_order_acquire) == v) return;
   std::lock_guard lock(f.rebuild);
   if (f.cachedVersion.load(std::memory_order_relaxed) == v) return;
+  const std::size_t in = inDim();
   const std::size_t s = f.staticPrefix.size();
-  const std::size_t d = inDim() - s;
+  const std::size_t d = in - s;
   const std::size_t out = outDim();
   f.wd.resizeOverwrite(out, d);
   f.c.resizeOverwrite(1, out);
   const double* xs = f.staticPrefix.data();
-  for (std::size_t r = 0; r < out; ++r) {
-    const double* wrow = weights_.data() + r * inDim();
-    // Fixed serial accumulation order: the refold itself is
-    // bit-deterministic regardless of pool size or kernel tier.
-    double acc = 0.0;
-    for (std::size_t j = 0; j < s; ++j) acc += wrow[j] * xs[j];
-    f.c(0, r) = acc + bias_(0, r);
-    std::memcpy(f.wd.data() + r * d, wrow + s, d * sizeof(double));
+  // Fixed serial accumulation order per row: the refold is
+  // bit-deterministic regardless of pool size, kernel tier or how rows
+  // are grouped into passes.
+  std::size_t r = 0;
+  for (; r + kRefoldRows <= out; r += kRefoldRows) {
+    foldRows<kRefoldRows>(weights_.data() + r * in, in, xs, s, bias_.data() + r, f.c.data() + r);
+  }
+  for (; r < out; ++r) {
+    foldRows<1>(weights_.data() + r * in, in, xs, s, bias_.data() + r, f.c.data() + r);
+  }
+  for (r = 0; r < out; ++r) {
+    std::memcpy(f.wd.data() + r * d, weights_.data() + r * in + s, d * sizeof(double));
   }
   f.folds.fetch_add(1, std::memory_order_relaxed);
   f.cachedVersion.store(v, std::memory_order_release);
@@ -219,6 +252,17 @@ bool Mlp::configureStaticPrefix(std::span<const double> staticPrefix) {
   layers_.front().configureStaticPrefix(
       std::vector<double>(staticPrefix.begin(), staticPrefix.end()));
   return true;
+}
+
+std::optional<FactoredPrefixGrad> Mlp::factoredGrad() const {
+  if (!foldActive()) return std::nullopt;
+  const DenseLayer& input = layers_.front();
+  FactoredPrefixGrad fg;
+  fg.paramIndex = 0;  // parameters() order: W0, b0, W1, b1, ...
+  fg.staticPrefix = input.staticPrefix();
+  fg.coeff = &input.biasGrad();
+  fg.pool = pool_;
+  return fg;
 }
 
 namespace {

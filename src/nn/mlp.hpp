@@ -10,11 +10,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/nn/optimizer.hpp"
 #include "src/nn/tensor.hpp"
 
 namespace dqndock::nn {
@@ -119,6 +121,9 @@ class DenseLayer {
   /// Number of fold-cache rebuilds so far (test/bench observability:
   /// "folds once per weight version").
   std::uint64_t foldCount() const;
+  /// The folded bias c = W_s * x_s + b for the current weights (refolds
+  /// first when stale). Valid until the next refold.
+  const Tensor& foldedBias() const;
 
   /// Y = Xd * Wd^T + c, Xd being the (batch x dynamicDim) dynamic
   /// suffix. Same fused epilogue as forward(); ≤1e-12 rel of the
@@ -144,6 +149,9 @@ class DenseLayer {
   };
 
   /// Bring the fold cache up to weightVersion() (lazy, thread-safe).
+  /// Runs on the calling thread: it holds Fold::rebuild, and a
+  /// parallelFor waiting in here could pick up a queued task that
+  /// refolds this same layer and blocks on that mutex.
   void refold() const;
 
   Tensor weights_;  // out x in
@@ -181,6 +189,13 @@ class Mlp {
   std::size_t staticPrefixLen() const { return layers_.front().staticLen(); }
   std::size_t dynamicInputDim() const { return layers_.front().dynamicDim(); }
   const DenseLayer& inputLayer() const { return layers_.front(); }
+
+  /// Descriptor of the folded input layer's rank-1 gradient for
+  /// Optimizer::step over parameters()/gradients(), carrying this net's
+  /// pool so the factored update splits across it. nullopt when the
+  /// input layer is not folded. Points into this net: rebuild it after
+  /// the net is copied or moved.
+  std::optional<FactoredPrefixGrad> factoredGrad() const;
 
   /// Forward pass; caches activations for a subsequent backward().
   const Tensor& forward(const Tensor& x);

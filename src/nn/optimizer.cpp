@@ -36,10 +36,19 @@ void checkPairs(const std::vector<Tensor*>& params, const std::vector<Tensor*>& 
   }
 }
 
+/// Min elements per part before the factored sweep fans out. A part then
+/// carries tens of microseconds of sqrt/div work, well above the pool's
+/// submit and wake-up cost: Table 1's 135 x 16,599 input layer splits
+/// across every pool thread, while small nets stay serial.
+constexpr std::size_t kMinElemsPerPart = 16u * 1024u;
+
 /// Drive the per-element update `f(flatIdx, g)` over a factored parameter:
 /// the leading S columns of each row get the rank-1 reconstruction
 /// g = coeff[r] * staticPrefix[c]; the trailing d columns read the packed
 /// gradient tensor. flatIdx indexes the full (out x in) parameter/state.
+/// Rows are handed out in contiguous ranges over fp.pool; f must touch
+/// only element flatIdx of its tensors, which makes the result bitwise
+/// independent of the partition.
 template <class F>
 void forEachFactoredElem(const Tensor& param, const Tensor& packedGrad,
                          const FactoredPrefixGrad& fp, F&& f) {
@@ -48,12 +57,20 @@ void forEachFactoredElem(const Tensor& param, const Tensor& packedGrad,
   const std::size_t s = fp.staticPrefix.size();
   const std::size_t d = full - s;
   const double* xs = fp.staticPrefix.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double cr = (*fp.coeff)(0, r);
-    const double* gd = packedGrad.data() + r * d;
-    const std::size_t base = r * full;
-    for (std::size_t j = 0; j < s; ++j) f(base + j, cr * xs[j]);
-    for (std::size_t j = 0; j < d; ++j) f(base + s + j, gd[j]);
+  auto sweepRows = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      const double cr = (*fp.coeff)(0, r);
+      const double* gd = packedGrad.data() + r * d;
+      const std::size_t base = r * full;
+      for (std::size_t j = 0; j < s; ++j) f(base + j, cr * xs[j]);
+      for (std::size_t j = 0; j < d; ++j) f(base + s + j, gd[j]);
+    }
+  };
+  const std::size_t maxParts = rows * full / kMinElemsPerPart;
+  if (fp.pool != nullptr && maxParts > 1) {
+    fp.pool->parallelFor(0, rows, maxParts, sweepRows);
+  } else {
+    sweepRows(0, rows);
   }
 }
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/nn/tensor.hpp"
 
 namespace dqndock::nn {
@@ -23,10 +24,15 @@ namespace dqndock::nn {
 /// the full (out x in) gradient is never materialised, zeroed, or
 /// streamed — the payoff of the static-prefix fold on the learn phase.
 /// Per-parameter optimizer state stays full-shaped (keyed by the param).
+///
+/// With a `pool`, the update of that parameter is split into contiguous
+/// row ranges across it. Every element's update reads and writes only
+/// its own weight and state, so any partition yields the serial bits.
 struct FactoredPrefixGrad {
   std::size_t paramIndex = 0;            ///< position of the weight tensor in params/grads
   std::span<const double> staticPrefix;  ///< the S constant input values
   const Tensor* coeff = nullptr;         ///< 1 x out rank-1 coefficient (= bias grad)
+  ThreadPool* pool = nullptr;            ///< splits the factored update by rows when set
 };
 
 class Optimizer {

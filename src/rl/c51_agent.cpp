@@ -191,15 +191,8 @@ double C51Agent::learn(ExperienceSource& source, Rng& rng) {
 
   online_.zeroGrad();
   online_.backward(dLogits);
-  nn::FactoredPrefixGrad fg;
-  const nn::FactoredPrefixGrad* factored = nullptr;
-  if (online_.foldActive()) {
-    fg.paramIndex = 0;  // parameters() order: W0, b0, W1, b1, ...
-    fg.staticPrefix = online_.inputLayer().staticPrefix();
-    fg.coeff = &online_.inputLayer().biasGrad();
-    factored = &fg;
-  }
-  optimizer_->step(online_.parameters(), online_.gradients(), factored);
+  const auto factored = online_.factoredGrad();
+  optimizer_->step(online_.parameters(), online_.gradients(), factored ? &*factored : nullptr);
 
   ++learnSteps_;
   if (config_.targetSyncInterval > 0 && learnSteps_ % config_.targetSyncInterval == 0) {

@@ -37,12 +37,8 @@ std::unique_ptr<QNetwork> MlpQNetwork::clone() const {
 }
 
 const nn::FactoredPrefixGrad* MlpQNetwork::factoredGrad() const {
-  if (!net_.foldActive()) return nullptr;
-  const nn::DenseLayer& input = net_.inputLayer();
-  factoredGrad_.paramIndex = 0;  // parameters() order: W0, b0, W1, b1, ...
-  factoredGrad_.staticPrefix = input.staticPrefix();
-  factoredGrad_.coeff = &input.biasGrad();
-  return &factoredGrad_;
+  factoredGrad_ = net_.factoredGrad();
+  return factoredGrad_ ? &*factoredGrad_ : nullptr;
 }
 
 void MlpQNetwork::copyWeightsFrom(const QNetwork& other) {

@@ -8,6 +8,7 @@
 /// Q = V + A - mean(A) (Wang et al. 2016).
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -56,7 +57,9 @@ class QNetwork {
   /// (== inputDim() otherwise; folded nets also still accept full width).
   virtual std::size_t dynamicInputDim() const { return inputDim(); }
   /// Rank-1 factored gradient descriptor for Optimizer::step, or nullptr
-  /// when not folding. Valid until the next mutation of this network.
+  /// when not folding. It carries the network's pool, so the optimizer
+  /// splits the factored update across it. Valid until the next mutation
+  /// of this network.
   virtual const nn::FactoredPrefixGrad* factoredGrad() const { return nullptr; }
 
   std::size_t parameterCountTotal() const;
@@ -97,7 +100,7 @@ class MlpQNetwork final : public QNetwork {
   nn::Mlp net_;
   // Refreshed by factoredGrad() so the spans/pointers always track the
   // current net_ (clone/copy would otherwise leave them dangling).
-  mutable nn::FactoredPrefixGrad factoredGrad_;
+  mutable std::optional<nn::FactoredPrefixGrad> factoredGrad_;
 };
 
 /// Dueling head: shared ReLU trunk, then V (1 unit) and A (K units)

@@ -188,12 +188,18 @@ void writeFrame(int fd, std::string_view payload) {
   if (payload.size() > kMaxFrameBytes) {
     throw std::runtime_error("writeFrame: payload exceeds frame limit");
   }
+  // Prefix and payload leave in one send. Sent apart, the payload of a
+  // small frame sits in Nagle's buffer until the peer's delayed ACK of
+  // the prefix (~40 ms per frame once a connection leaves quick-ACK).
   const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-  const unsigned char header[4] = {
-      static_cast<unsigned char>(n >> 24), static_cast<unsigned char>(n >> 16),
-      static_cast<unsigned char>(n >> 8), static_cast<unsigned char>(n)};
-  writeAll(fd, reinterpret_cast<const char*>(header), sizeof header);
-  writeAll(fd, payload.data(), payload.size());
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  frame.push_back(static_cast<char>(n >> 24));
+  frame.push_back(static_cast<char>(n >> 16));
+  frame.push_back(static_cast<char>(n >> 8));
+  frame.push_back(static_cast<char>(n));
+  frame.append(payload);
+  writeAll(fd, frame.data(), frame.size());
 }
 
 bool readFrame(int fd, std::string& payload) {

@@ -79,8 +79,10 @@ Message decodeMessage(std::string_view payload);
 
 // -- Framed socket I/O (POSIX fds) ------------------------------------------
 
-/// Write one length-prefixed frame; loops over partial writes. Throws
-/// std::runtime_error on I/O failure or oversized payloads.
+/// Write one length-prefixed frame as a single send (prefix and payload
+/// together, so Nagle never holds a payload back for the peer's delayed
+/// ACK); loops over partial writes. Throws std::runtime_error on I/O
+/// failure or oversized payloads.
 void writeFrame(int fd, std::string_view payload);
 
 /// Read one frame. Returns false ONLY on clean EOF at a frame boundary

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/rl/c51_agent.hpp"
 #include "src/rl/corridor_env.hpp"
 #include "src/rl/schedule.hpp"
@@ -111,6 +113,53 @@ TEST(C51AgentTest, TargetSyncCadence) {
   for (int i = 0; i < 32; ++i) rb.push(s, 0, 1.0, s, true);
   for (int i = 0; i < 12; ++i) agent.learn(rb, rng);
   EXPECT_EQ(agent.learnSteps(), 12u);
+}
+
+TEST(C51AgentTest, FoldedLearnTrajectoryBitIdenticalWithAndWithoutPool) {
+  // C51 steps its folded input layer through the same row-split
+  // optimizer update as DQN (24 x 20,000 is wide enough to split): a
+  // pooled agent's losses and learned distributions, through two target
+  // syncs, match the serial agent's bit for bit.
+  const std::size_t kDim = 20000, kStatic = 19900, kDynamic = kDim - kStatic;
+  Rng prefixRng(41);
+  std::vector<double> prefix(kStatic);
+  for (double& v : prefix) v = prefixRng.uniform(-1.0, 1.0);
+
+  auto trajectory = [&](ThreadPool* pool) {
+    C51Config cfg = smallConfig();
+    cfg.targetSyncInterval = 3;
+    Rng rng(8);
+    C51Agent agent(kDim, 3, cfg, rng, pool);
+    EXPECT_TRUE(agent.enableStaticPrefixFold(prefix));
+    // Dynamic-width replay rows, as the folded trainer stores them.
+    ReplayBuffer rb(64, kDynamic);
+    Rng fill(11);
+    std::vector<double> s(kDynamic), s2(kDynamic);
+    for (int i = 0; i < 48; ++i) {
+      for (double& v : s) v = fill.uniform();
+      for (double& v : s2) v = fill.uniform();
+      rb.push(s, static_cast<int>(fill.uniformInt(3)), fill.uniform(-1.0, 1.0), s2, i % 5 == 0);
+    }
+    std::vector<double> out;
+    Rng learnRng(17);
+    for (int step = 0; step < 8; ++step) out.push_back(agent.learn(rb, learnRng));
+    Rng probeRng(19);
+    for (int p = 0; p < 3; ++p) {
+      for (double& v : s) v = probeRng.uniform();
+      for (int a = 0; a < 3; ++a) {
+        const std::vector<double> d = agent.distribution(s, a);
+        out.insert(out.end(), d.begin(), d.end());
+      }
+    }
+    return out;
+  };
+  const std::vector<double> serial = trajectory(nullptr);
+  ThreadPool pool(4);
+  const std::vector<double> pooled = trajectory(&pool);
+  ASSERT_EQ(pooled.size(), serial.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) mismatches += pooled[i] != serial[i];
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(C51AgentTest, SolvesCorridor) {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/rl/dqn_agent.hpp"
+#include "src/rl/replay_buffer.hpp"
 
 namespace dqndock::rl {
 namespace {
@@ -174,6 +177,56 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{DqnVariant::kDouble, false},
                       std::tuple{DqnVariant::kVanilla, true},
                       std::tuple{DqnVariant::kDouble, true}));
+
+TEST(DqnAgentTest, FoldedLearnTrajectoryBitIdenticalWithAndWithoutPool) {
+  // The folded input layer's optimizer update splits across the net's
+  // pool by rows (16 x 20,000 is wide enough to split). Every element
+  // updates on its own, so the pooled agent follows the serial agent's
+  // trajectory bit for bit: losses, online weights, and the target net
+  // through two syncs.
+  const std::size_t kDim = 20000, kStatic = 19900, kDynamic = kDim - kStatic;
+  Rng prefixRng(31);
+  std::vector<double> prefix(kStatic);
+  for (double& v : prefix) v = prefixRng.uniform(-1.0, 1.0);
+  Rng probeRng(37);
+  nn::Tensor probe(4, kDynamic);
+  for (double& v : probe.flat()) v = probeRng.uniform();
+
+  auto trajectory = [&](ThreadPool* pool) {
+    DqnConfig cfg = smallConfig();
+    cfg.optimizer = "rmsprop";
+    cfg.targetSyncInterval = 3;
+    Rng rng(5);
+    DqnAgent agent(kDim, 4, cfg, rng, pool);
+    EXPECT_TRUE(agent.enableStaticPrefixFold(prefix));
+    // Dynamic-width replay rows, as the folded trainer stores them.
+    ReplayBuffer replay(64, kDynamic);
+    Rng fill(9);
+    std::vector<double> s(kDynamic), s2(kDynamic);
+    for (int i = 0; i < 48; ++i) {
+      for (double& v : s) v = fill.uniform();
+      for (double& v : s2) v = fill.uniform();
+      replay.push(s, static_cast<int>(fill.uniformInt(4)), fill.uniform(), s2, i % 7 == 0);
+    }
+    std::vector<double> out;
+    Rng learnRng(13);
+    for (int step = 0; step < 8; ++step) out.push_back(agent.learn(replay, learnRng));
+    for (const nn::Tensor* p : agent.online().parameters()) {
+      out.insert(out.end(), p->data(), p->data() + p->size());
+    }
+    nn::Tensor q;
+    agent.target().predict(probe, q);
+    out.insert(out.end(), q.data(), q.data() + q.size());
+    return out;
+  };
+  const std::vector<double> serial = trajectory(nullptr);
+  ThreadPool pool(4);
+  const std::vector<double> pooled = trajectory(&pool);
+  ASSERT_EQ(pooled.size(), serial.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) mismatches += pooled[i] != serial[i];
+  EXPECT_EQ(mismatches, 0u);
+}
 
 TEST(DqnAgentTest, VariantNames) {
   EXPECT_STREQ(dqnVariantName(DqnVariant::kVanilla), "dqn");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "src/chem/synthetic.hpp"
@@ -94,6 +95,38 @@ TEST_F(FileEnvFixture, AutoDirectoryNameIsSeedDeterministic) {
   const std::uint64_t token = std::stoull(name.substr(prevDash + 1, lastDash - prevDash - 1));
   Rng expected(1234 ^ (instance * 0x9e3779b97f4a7c15ULL));
   EXPECT_EQ(token, expected());
+}
+
+TEST_F(FileEnvFixture, AutoDirectorySkipsNamesThatAlreadyExist) {
+  // Another process counting instances from the same seed computes the
+  // same names. Pre-create the directory the next instance would pick
+  // (same formula as above): the new FileEnv must claim a different one
+  // and leave the existing directory, and its contents, alone.
+  constexpr std::uint64_t kSeed = 4321;
+  std::uint64_t next = 0;
+  {
+    FileEnv probe(env_, {}, kSeed);
+    const std::string name = probe.exchangeDir().filename().string();
+    next = std::stoull(name.substr(name.rfind('-') + 1)) + 1;
+  }
+  Rng token(kSeed ^ (next * 0x9e3779b97f4a7c15ULL));
+  const fs::path taken = fs::temp_directory_path() /
+                         ("dqndock-ipc-" + std::to_string(token()) + "-" + std::to_string(next));
+  fs::create_directories(taken);
+  ASSERT_TRUE(fs::is_directory(taken)) << taken;
+  std::ofstream(taken / "score.txt") << "not yours\n";
+  {
+    FileEnv file(env_, {}, kSeed);
+    EXPECT_NE(file.exchangeDir(), taken);
+    EXPECT_TRUE(fs::exists(file.exchangeDir()));
+    file.reset();
+  }
+  EXPECT_TRUE(fs::exists(taken / "score.txt"));
+  std::ifstream in(taken / "score.txt");
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "not yours");
+  fs::remove_all(taken);
 }
 
 TEST_F(FileEnvFixture, EqualSeedsInOneProcessGetDistinctDirectories) {

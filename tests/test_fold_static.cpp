@@ -171,22 +171,37 @@ TEST(FoldStatic, FoldedPredictBitDeterministicAcrossPoolsAndRuns) {
   const auto prefix = makePrefix(kStatic, 23);
   const nn::Tensor x = makeStates(16, kIn, prefix, 29);
 
-  std::vector<double> reference;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    Rng rng(2024);
-    nn::Mlp net({kIn, 64, 64, 6}, rng, &pool);
-    ASSERT_TRUE(net.configureStaticPrefix(prefix));
-    for (int run = 0; run < 2; ++run) {
-      nn::Tensor y;
-      net.predict(x, y);
-      if (reference.empty()) {
-        reference.assign(y.data(), y.data() + y.size());
-        continue;
+  // 13 input-layer rows is not a whole number of refold passes, so the
+  // leftover rows take the one-row tail.
+  for (const std::size_t width : {std::size_t{64}, std::size_t{13}}) {
+    std::vector<double> reference;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      Rng rng(2024);
+      nn::Mlp net({kIn, width, 64, 6}, rng, &pool);
+      ASSERT_TRUE(net.configureStaticPrefix(prefix));
+      for (int run = 0; run < 2; ++run) {
+        nn::Tensor y;
+        net.predict(x, y);
+        if (reference.empty()) {
+          reference.assign(y.data(), y.data() + y.size());
+          continue;
+        }
+        ASSERT_EQ(y.size(), reference.size());
+        for (std::size_t i = 0; i < y.size(); ++i) {
+          EXPECT_EQ(y.data()[i], reference[i])
+              << "width " << width << " threads " << threads << " run " << run;
+        }
       }
-      ASSERT_EQ(y.size(), reference.size());
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        EXPECT_EQ(y.data()[i], reference[i]) << "threads " << threads << " run " << run;
+
+      // The folded bias is bitwise the serial one-row-at-a-time dot.
+      const nn::DenseLayer& input = net.inputLayer();
+      const nn::Tensor& c = input.foldedBias();
+      ASSERT_EQ(c.cols(), width);
+      for (std::size_t r = 0; r < width; ++r) {
+        double acc = 0.0;
+        for (std::size_t j = 0; j < kStatic; ++j) acc += input.weights()(r, j) * prefix[j];
+        EXPECT_EQ(c(0, r), acc + input.bias()(0, r)) << "width " << width << " row " << r;
       }
     }
   }
@@ -262,11 +277,10 @@ TEST(FoldStaticInvalidation, OptimizerStepMatchesDenseUpdate) {
       nn::Tensor dy = yf;
       twins.folded.zeroGrad();
       twins.folded.backward(dy);
-      nn::FactoredPrefixGrad factored;
-      factored.paramIndex = 0;
-      factored.staticPrefix = twins.folded.inputLayer().staticPrefix();
-      factored.coeff = &twins.folded.inputLayer().biasGrad();
-      optFolded->step(twins.folded.parameters(), twins.folded.gradients(), &factored);
+      const auto factored = twins.folded.factoredGrad();
+      ASSERT_TRUE(factored.has_value());
+      EXPECT_EQ(factored->pool, nullptr);
+      optFolded->step(twins.folded.parameters(), twins.folded.gradients(), &*factored);
 
       const nn::Tensor& yp = twins.plain.forward(x);
       nn::Tensor dyp = yp;
@@ -286,6 +300,44 @@ TEST(FoldStaticInvalidation, OptimizerStepMatchesDenseUpdate) {
     twins.folded.predict(probe, qf);
     twins.plain.predict(probe, qp);
     EXPECT_LE(maxRelDiff(qf, qp), kTol) << kind;
+  }
+
+  // Row fan-out: the factored update split over pools of 1, 3 and 8
+  // threads lands on the no-pool parameters bit for bit. The input layer
+  // is wide enough to split into every part a pool offers, and has fewer
+  // rows (6) than the 8-thread pool has parts.
+  const std::size_t kWideIn = 50000, kWideStatic = 49700;
+  const auto widePrefix = makePrefix(kWideStatic, 59);
+  const nn::Tensor wideX = makeStates(8, kWideIn, widePrefix, 61);
+  auto stepFolded = [&](const std::string& kind, ThreadPool* pool) {
+    Rng rng(2024);
+    nn::Mlp net({kWideIn, 6, 5}, rng, pool);
+    EXPECT_TRUE(net.configureStaticPrefix(widePrefix));
+    auto opt = nn::makeOptimizer(kind, 0.01);
+    for (int step = 0; step < 3; ++step) {
+      nn::Tensor dy = net.forward(wideX);
+      net.zeroGrad();
+      net.backward(dy);
+      const auto factored = net.factoredGrad();
+      EXPECT_EQ(factored->pool, pool);
+      opt->step(net.parameters(), net.gradients(), &*factored);
+    }
+    std::vector<double> flat;
+    for (const nn::Tensor* p : net.parameters()) {
+      flat.insert(flat.end(), p->data(), p->data() + p->size());
+    }
+    return flat;
+  };
+  for (const std::string kind : {"sgd", "rmsprop", "adam"}) {
+    const std::vector<double> serial = stepFolded(kind, nullptr);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      const std::vector<double> pooled = stepFolded(kind, &pool);
+      ASSERT_EQ(pooled.size(), serial.size());
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < serial.size(); ++i) mismatches += pooled[i] != serial[i];
+      EXPECT_EQ(mismatches, 0u) << kind << " threads " << threads;
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
 
 #include "src/chem/synthetic.hpp"
@@ -187,6 +188,21 @@ TEST_F(LoopbackFixture, PingAndStatus) {
   EXPECT_EQ(status.getInt("model_version", 0), 1);
 }
 
+TEST_F(LoopbackFixture, BackToBackPingsDoNotWaitForDelayedAcks) {
+  // One request/reply after another on one connection. Were a frame's
+  // prefix and payload sent apart, each payload would sit in Nagle's
+  // buffer until the peer's delayed ACK (tens of ms per exchange once
+  // the connection leaves quick-ACK mode); one send per frame keeps an
+  // exchange at loopback round-trip cost.
+  TcpClient client(server_->port());
+  for (int i = 0; i < 5; ++i) ASSERT_EQ(client.request(Message{"PING", {}}).type, "OK");
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(client.request(Message{"PING", {}}).type, "OK");
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(seconds, 0.5);
+}
+
 TEST_F(LoopbackFixture, FullDockOverTcp) {
   TcpClient client(server_->port());
   Message dock{"DOCK", {}};
@@ -290,6 +306,14 @@ class RawListener {
   std::uint16_t port() const { return port_; }
   int acceptOne() { return ::accept(fd_, nullptr, nullptr); }
 
+  /// Read the client's whole request frame. Closing with request bytes
+  /// still unread makes the kernel send an RST, which the client would
+  /// then see as a reset rather than whatever the test replies.
+  static bool drainRequest(int fd) {
+    std::string request;
+    return readFrame(fd, request);
+  }
+
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;
@@ -304,8 +328,7 @@ TEST(TcpClientFramingTest, ClosesConnectionAfterFramingError) {
   std::thread server([&] {
     const int fd = listener.acceptOne();
     ASSERT_GE(fd, 0);
-    char buf[4096];
-    ASSERT_GT(::read(fd, buf, sizeof buf), 0);  // drain the request frame
+    ASSERT_TRUE(RawListener::drainRequest(fd));
     const unsigned char partial[2] = {0, 9};
     ASSERT_EQ(::write(fd, partial, 2), 2);
     ::close(fd);
@@ -330,8 +353,7 @@ TEST(TcpClientFramingTest, CleanServerHangupAlsoClosesClient) {
   std::thread server([&] {
     const int fd = listener.acceptOne();
     ASSERT_GE(fd, 0);
-    char buf[4096];
-    ASSERT_GT(::read(fd, buf, sizeof buf), 0);
+    ASSERT_TRUE(RawListener::drainRequest(fd));
     ::close(fd);  // hang up with no reply at all
   });
   TcpClient client(listener.port());
