@@ -1,16 +1,10 @@
 #include "src/gateway/gateway.hpp"
 
-#include <algorithm>
 #include <cerrno>
-#include <cstring>
-#include <stdexcept>
+#include <exception>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include "src/common/logging.hpp"
 #include "src/common/stopwatch.hpp"
 #include "src/serve/wire.hpp"
 
@@ -84,72 +78,21 @@ void fillScreenJson(JsonValue& out, const serve::JobOutcome& outcome) {
 
 HttpGateway::HttpGateway(const serve::TenantDirectory& directory, std::uint16_t port)
     : directory_(directory) {
-  serve::ignoreSigpipe();  // client hangup mid-reply must be EPIPE, not death
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd_ < 0) throw std::runtime_error("HttpGateway: socket() failed");
-  const int one = 1;
-  ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // localhost only, by design
-  addr.sin_port = htons(port);
-  if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(listenFd_);
-    throw std::runtime_error(std::string("HttpGateway: bind failed: ") + std::strerror(errno));
-  }
-  if (::listen(listenFd_, 32) != 0) {
-    ::close(listenFd_);
-    throw std::runtime_error("HttpGateway: listen failed");
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  acceptThread_ = std::thread([this] { acceptLoop(); });
-  logInfo() << "HttpGateway: listening on 127.0.0.1:" << port_ << " with "
-            << directory_.size() << " model(s)";
+  listener_.emplace("HttpGateway", port, [this](int fd) { handleConnection(fd); });
 }
 
 HttpGateway::~HttpGateway() { stop(); }
 
-void HttpGateway::acceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by stop()
-    }
-    std::lock_guard lock(mu_);
-    if (stopRequested_) {
-      ::close(fd);
-      continue;
-    }
-    ++stats_.connections;
-    connectionFds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { handleConnection(fd); });
-  }
-}
-
 bool HttpGateway::sendAll(int fd, std::string_view bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-#else
-    const ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off, 0);
-#endif
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET) {
-        std::lock_guard lock(mu_);
-        ++stats_.peerHangups;
-      }
-      return false;
-    }
-    off += static_cast<std::size_t>(w);
+  try {
+    serve::writeAll(fd, bytes);
+    return true;
+  } catch (const serve::PeerClosedError&) {
+    std::lock_guard lock(mu_);
+    ++stats_.peerHangups;
+  } catch (const std::exception&) {
   }
-  return true;
+  return false;
 }
 
 void HttpGateway::handleConnection(int fd) {
@@ -201,11 +144,6 @@ void HttpGateway::handleConnection(int fd) {
     }
     if (!close) parser.reset();  // may complete instantly on pipelined surplus
   }
-  {
-    std::lock_guard lock(mu_);
-    std::erase(connectionFds_, fd);
-  }
-  ::close(fd);
 }
 
 HttpGateway::Reply HttpGateway::dispatch(const HttpRequest& request) {
@@ -376,47 +314,11 @@ HttpGateway::Reply HttpGateway::handleScreen(serve::TenantDirectory::Tenant& ten
   return Reply(200, std::move(out));
 }
 
-void HttpGateway::requestStop() {
-  std::lock_guard lock(mu_);
-  if (stopRequested_) return;
-  stopRequested_ = true;
-  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
-  stopCv_.notify_all();
-}
-
-void HttpGateway::waitUntilStopped() {
-  std::unique_lock lock(mu_);
-  stopCv_.wait(lock, [&] { return stopRequested_; });
-}
-
-bool HttpGateway::stopRequested() const {
-  std::lock_guard lock(mu_);
-  return stopRequested_;
-}
-
-void HttpGateway::stop() {
-  requestStop();
-  {
-    std::lock_guard lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-    for (int fd : connectionFds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (acceptThread_.joinable()) acceptThread_.join();
-  for (auto& t : handlers_) {
-    if (t.joinable()) t.join();
-  }
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-  }
-  logInfo() << "HttpGateway: stopped after " << stats_.requests << " requests on "
-            << stats_.connections << " connections";
-}
-
 GatewayStats HttpGateway::stats() const {
   std::lock_guard lock(mu_);
-  return stats_;
+  GatewayStats stats = stats_;
+  stats.connections = listener_->connections();
+  return stats;
 }
 
 }  // namespace dqndock::gateway

@@ -26,15 +26,14 @@
 /// byte stream can produce a 4xx and a closed connection — never a
 /// crash, hang, or SIGPIPE exit.
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/gateway/http.hpp"
 #include "src/gateway/json.hpp"
+#include "src/serve/listener.hpp"
 #include "src/serve/tenant.hpp"
 
 namespace dqndock::gateway {
@@ -58,19 +57,15 @@ class HttpGateway {
   HttpGateway(const HttpGateway&) = delete;
   HttpGateway& operator=(const HttpGateway&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_->port(); }
 
-  /// Block until stop()/requestStop() was called.
-  void waitUntilStopped();
-  bool stopRequested() const;
-
-  /// Graceful stop: close the listener, unblock connection reads, join
-  /// every handler thread. Idempotent; also run by the destructor.
-  void stop();
-
-  /// Non-joining half of stop(): refuse new connections and wake
-  /// waitUntilStopped(). Safe from any thread.
-  void requestStop();
+  /// The listener's stop levels (listener.hpp): requestStop() refuses
+  /// new connections and wakes waitUntilStopped(); stop() also joins
+  /// every handler thread. The destructor stops too.
+  void requestStop() { listener_->requestStop(); }
+  bool stopRequested() const { return listener_->stopRequested(); }
+  void waitUntilStopped() { listener_->waitUntilStopped(); }
+  void stop() { listener_->stop(); }
 
   GatewayStats stats() const;
 
@@ -81,7 +76,6 @@ class HttpGateway {
     Reply(int s, JsonValue b) : status(s), body(std::move(b)) {}
   };
 
-  void acceptLoop();
   void handleConnection(int fd);
   /// Route + execute one parsed request. Exceptions never escape: every
   /// outcome is a status + JSON body.
@@ -91,23 +85,16 @@ class HttpGateway {
   Reply handleStats() const;
   Reply handleDock(serve::TenantDirectory::Tenant& tenant, const JsonValue& body);
   Reply handleScreen(serve::TenantDirectory::Tenant& tenant, const JsonValue& body);
-  /// Loops ::send with MSG_NOSIGNAL; false when the peer hung up or the
+  /// serve::writeAll; false when the peer hung up (counted) or the
   /// transport failed (the connection is then abandoned).
   bool sendAll(int fd, std::string_view bytes);
 
   const serve::TenantDirectory& directory_;
-  int listenFd_ = -1;
-  std::uint16_t port_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable stopCv_;
-  bool stopRequested_ = false;
-  bool stopped_ = false;
-  std::vector<std::thread> handlers_;
-  std::vector<int> connectionFds_;
-  GatewayStats stats_;
+  GatewayStats stats_;  ///< connections is read from the listener
 
-  std::thread acceptThread_;
+  std::optional<serve::LoopbackListener> listener_;  ///< emplaced last in the constructor
 };
 
 }  // namespace dqndock::gateway

@@ -7,12 +7,11 @@
 /// written into rows of a single V x stateDim tensor — the shape the
 /// batched Q-forward (gemmABt register tiles) consumes directly.
 ///
-/// Ownership contract: lockstep multi-env stepping belongs to
-/// VectorEnv + the vectorized Trainer schedule. ParallelCollector is the
-/// *thread-parallel* alternative (independent replicas on worker
-/// threads, no batching); the two are not composed. CollectorStats and
-/// VectorEnv both expose a `batchedSteps` counter so tests can assert
-/// which path did the stepping.
+/// Ownership contract: multi-env experience collection belongs to
+/// VectorEnv + the vectorized Trainer schedule; it is the only
+/// collection path besides the sequential trainer. `batchedSteps`
+/// counts the step() calls that batched work across envs, so tests can
+/// assert which implementation did the stepping.
 ///
 /// Episode boundaries: step() does NOT auto-reset. When results[i]
 /// reports terminal, the caller records the episode and calls

@@ -1,14 +1,7 @@
 #include "src/screen/coordinator.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "src/chem/library_io.hpp"
 #include "src/common/logging.hpp"
@@ -88,52 +81,13 @@ ScreenCoordinator::ScreenCoordinator(ScreenJobConfig config, CoordinatorOptions 
   queueRange(pos, config_.librarySize);
   done_ = stats_.ligandsDone == config_.librarySize;
 
-  // Listener (loopback, same discipline as serve::TcpServer).
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd_ < 0) throw std::runtime_error("ScreenCoordinator: socket() failed");
-  const int one = 1;
-  ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(listenFd_);
-    throw std::runtime_error(std::string("ScreenCoordinator: bind failed: ") +
-                             std::strerror(errno));
-  }
-  if (::listen(listenFd_, 16) != 0) {
-    ::close(listenFd_);
-    throw std::runtime_error("ScreenCoordinator: listen failed");
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  acceptThread_ = std::thread([this] { acceptLoop(); });
-  logInfo() << "ScreenCoordinator: " << config_.librarySize << " ligands, "
-            << shards_.size() << " shard(s) queued (" << stats_.shardsResumed
-            << " resumed), listening on 127.0.0.1:" << port_;
+  logInfo() << "ScreenCoordinator: " << config_.librarySize << " ligands, " << shards_.size()
+            << " shard(s) queued (" << stats_.shardsResumed << " resumed)";
+  listener_.emplace("ScreenCoordinator", options_.port,
+                    [this](int fd) { handleConnection(fd); });
 }
 
 ScreenCoordinator::~ScreenCoordinator() { stop(); }
-
-void ScreenCoordinator::acceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by halt()
-    }
-    std::lock_guard lock(mu_);
-    if (halted_) {
-      ::close(fd);
-      continue;
-    }
-    connectionFds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { handleConnection(fd); });
-  }
-}
 
 void ScreenCoordinator::handleConnection(int fd) {
   Message request;
@@ -159,11 +113,6 @@ void ScreenCoordinator::handleConnection(int fd) {
       break;
     }
   }
-  {
-    std::lock_guard lock(mu_);
-    std::erase(connectionFds_, fd);
-  }
-  ::close(fd);
 }
 
 Message ScreenCoordinator::handleRequest(const Message& request) {
@@ -356,10 +305,7 @@ void ScreenCoordinator::recordResult(Shard& shard, ShardRecord record) {
     // shards still outstanding, leaving only the journal behind.
     logWarn() << "ScreenCoordinator: haltAfterShards=" << options_.haltAfterShards
               << " reached; simulating coordinator crash";
-    halted_ = true;
-    if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
-    for (const int fd : connectionFds_) ::shutdown(fd, SHUT_RDWR);
-    doneCv_.notify_all();
+    haltLocked();
   }
 }
 
@@ -425,28 +371,19 @@ CoordinatorStats ScreenCoordinator::stats() const {
 
 void ScreenCoordinator::halt() {
   std::lock_guard lock(mu_);
+  haltLocked();
+}
+
+void ScreenCoordinator::haltLocked() {
   if (halted_) return;
   halted_ = true;
-  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
-  for (const int fd : connectionFds_) ::shutdown(fd, SHUT_RDWR);
+  listener_->halt();  // the listener never takes mu_, so calling it under mu_ is safe
   doneCv_.notify_all();
 }
 
 void ScreenCoordinator::stop() {
   halt();
-  {
-    std::lock_guard lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  if (acceptThread_.joinable()) acceptThread_.join();
-  for (auto& t : handlers_) {
-    if (t.joinable()) t.join();
-  }
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-  }
+  listener_->stop();
 }
 
 }  // namespace dqndock::screen

@@ -32,8 +32,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/stopwatch.hpp"
@@ -41,6 +41,7 @@
 #include "src/screen/journal.hpp"
 #include "src/screen/protocol.hpp"
 #include "src/screen/topk.hpp"
+#include "src/serve/listener.hpp"
 #include "src/serve/wire.hpp"
 
 namespace dqndock::screen {
@@ -79,7 +80,7 @@ class ScreenCoordinator {
   ScreenCoordinator(const ScreenCoordinator&) = delete;
   ScreenCoordinator& operator=(const ScreenCoordinator&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_->port(); }
   const ScreenJobConfig& config() const { return config_; }
 
   bool done() const;
@@ -119,7 +120,6 @@ class ScreenCoordinator {
     std::chrono::steady_clock::time_point lastBeat;
   };
 
-  void acceptLoop();
   void handleConnection(int fd);
   serve::Message handleRequest(const serve::Message& request);
   serve::Message handleLease(const serve::Message& request);
@@ -127,20 +127,17 @@ class ScreenCoordinator {
   serve::Message handleResult(const serve::Message& request);
   serve::Message handleStatus() const;
 
-  // All five below require mu_ held.
+  // All six below require mu_ held.
   void reclaimExpiredLeases();
   Shard* findShard(std::uint64_t id);
   Shard* splitStraggler();
   void recordResult(Shard& shard, ShardRecord record);
   serve::Message leaseShard(Shard& shard, const std::string& worker);
+  void haltLocked();
 
   ScreenJobConfig config_;
   CoordinatorOptions options_;
   Stopwatch clock_;
-
-  int listenFd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread acceptThread_;
 
   mutable std::mutex mu_;
   std::condition_variable doneCv_;
@@ -155,9 +152,8 @@ class ScreenCoordinator {
   std::unique_ptr<ScreenJournal> journal_;
   bool done_ = false;
   bool halted_ = false;
-  bool stopped_ = false;
-  std::vector<std::thread> handlers_;
-  std::vector<int> connectionFds_;
+
+  std::optional<serve::LoopbackListener> listener_;  ///< emplaced once the shards exist
 };
 
 }  // namespace dqndock::screen

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -52,54 +53,10 @@ void fillScreenFields(Message& reply, const JobOutcome& outcome) {
 
 TcpServer::TcpServer(DockingService& service, ModelRegistry& registry, std::uint16_t port)
     : service_(service), registry_(registry) {
-  // A client that hangs up mid-reply must surface as EPIPE on the send,
-  // never as a process-killing SIGPIPE (MSG_NOSIGNAL covers socket sends;
-  // this covers every other fd path for the process lifetime).
-  ignoreSigpipe();
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd_ < 0) throw std::runtime_error("TcpServer: socket() failed");
-  const int one = 1;
-  ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // localhost only, by design
-  addr.sin_port = htons(port);
-  if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(listenFd_);
-    throw std::runtime_error(std::string("TcpServer: bind failed: ") + std::strerror(errno));
-  }
-  if (::listen(listenFd_, 16) != 0) {
-    ::close(listenFd_);
-    throw std::runtime_error("TcpServer: listen failed");
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  acceptThread_ = std::thread([this] { acceptLoop(); });
-  logInfo() << "TcpServer: listening on 127.0.0.1:" << port_;
+  listener_.emplace("TcpServer", port, [this](int fd) { handleConnection(fd); });
 }
 
 TcpServer::~TcpServer() { stop(); }
-
-void TcpServer::acceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by stop()
-    }
-    std::lock_guard lock(mu_);
-    if (stopRequested_) {
-      ::close(fd);
-      continue;  // drain until the listener actually closes
-    }
-    ++stats_.connections;
-    connectionFds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { handleConnection(fd); });
-  }
-}
 
 void TcpServer::handleConnection(int fd) {
   Message request;
@@ -136,12 +93,6 @@ void TcpServer::handleConnection(int fd) {
     }
     if (request.type == "SHUTDOWN") break;
   }
-  // Deregister before close so stop() never touches a recycled fd.
-  {
-    std::lock_guard lock(mu_);
-    std::erase(connectionFds_, fd);
-  }
-  ::close(fd);
 }
 
 Message TcpServer::handleRequest(const Message& request) {
@@ -225,50 +176,11 @@ Message TcpServer::handleStatus() const {
   return reply;
 }
 
-void TcpServer::requestStop() {
-  std::lock_guard lock(mu_);
-  if (stopRequested_) return;
-  stopRequested_ = true;
-  // Break the accept loop; handler threads finish their current
-  // connection naturally (SHUTDOWN handlers break after replying).
-  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
-  stopCv_.notify_all();
-}
-
-void TcpServer::waitUntilStopped() {
-  std::unique_lock lock(mu_);
-  stopCv_.wait(lock, [&] { return stopRequested_; });
-}
-
-bool TcpServer::stopRequested() const {
-  std::lock_guard lock(mu_);
-  return stopRequested_;
-}
-
-void TcpServer::stop() {
-  requestStop();
-  {
-    std::lock_guard lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-    // Unblock reads on still-open connections so handlers exit.
-    for (int fd : connectionFds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (acceptThread_.joinable()) acceptThread_.join();
-  for (auto& t : handlers_) {
-    if (t.joinable()) t.join();
-  }
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-  }
-  logInfo() << "TcpServer: stopped after " << stats_.requests << " requests on "
-            << stats_.connections << " connections";
-}
-
 ServerStats TcpServer::stats() const {
   std::lock_guard lock(mu_);
-  return stats_;
+  ServerStats stats = stats_;
+  stats.connections = listener_->connections();
+  return stats;
 }
 
 RetryPolicy RetryPolicy::patient() {

@@ -17,14 +17,13 @@
 /// backpressure reason — the client is expected to retry later.
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/serve/docking_service.hpp"
+#include "src/serve/listener.hpp"
 #include "src/serve/wire.hpp"
 
 namespace dqndock::serve {
@@ -50,26 +49,19 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_->port(); }
 
-  /// Block until a client sent SHUTDOWN or stop() was called.
-  void waitUntilStopped();
-  bool stopRequested() const;
-
-  /// Graceful stop: close the listener, unblock connection reads, join
-  /// every handler thread. Idempotent; also run by the destructor. Must
-  /// not be called from a handler thread (the dtor/owner calls it).
-  void stop();
-
-  /// Non-joining half of stop(): refuse new connections and wake
-  /// waitUntilStopped(). Safe from any thread (SHUTDOWN handlers use it);
-  /// the owner still calls stop() to join.
-  void requestStop();
+  /// The listener's stop levels (listener.hpp). A SHUTDOWN request calls
+  /// requestStop(), which wakes waitUntilStopped(); the owner then calls
+  /// stop() to join every handler thread. The destructor stops too.
+  void requestStop() { listener_->requestStop(); }
+  bool stopRequested() const { return listener_->stopRequested(); }
+  void waitUntilStopped() { listener_->waitUntilStopped(); }
+  void stop() { listener_->stop(); }
 
   ServerStats stats() const;
 
  private:
-  void acceptLoop();
   void handleConnection(int fd);
   Message handleRequest(const Message& request);
   Message handleDock(const Message& request);
@@ -78,18 +70,11 @@ class TcpServer {
 
   DockingService& service_;
   ModelRegistry& registry_;
-  int listenFd_ = -1;
-  std::uint16_t port_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable stopCv_;
-  bool stopRequested_ = false;
-  bool stopped_ = false;
-  std::vector<std::thread> handlers_;
-  std::vector<int> connectionFds_;
-  ServerStats stats_;
+  ServerStats stats_;  ///< connections is read from the listener
 
-  std::thread acceptThread_;
+  std::optional<LoopbackListener> listener_;  ///< emplaced last in the constructor
 };
 
 /// Retry schedule for connect/request: capped exponential backoff under

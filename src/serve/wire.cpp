@@ -39,25 +39,6 @@ ssize_t writeSome(int fd, const char* buf, std::size_t n) {
 #endif
 }
 
-void writeAll(int fd, const char* buf, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = writeSome(fd, buf + off, n - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET) {
-        // The peer hung up while we were replying — their prerogative,
-        // not a transport fault of ours; callers route this to the same
-        // clean-hangup path as an orderly EOF.
-        throw PeerClosedError(std::string("writeFrame: peer closed: ") +
-                              std::strerror(errno));
-      }
-      throwErrno("writeFrame");
-    }
-    off += static_cast<std::size_t>(w);
-  }
-}
-
 /// Returns bytes read (0 on EOF); loops on EINTR only.
 std::size_t readAll(int fd, char* buf, std::size_t n) {
   std::size_t off = 0;
@@ -184,6 +165,24 @@ Message decodeMessage(std::string_view payload) {
   return msg;
 }
 
+void writeAll(int fd, std::string_view bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t w = writeSome(fd, bytes.data() + off, bytes.size() - off);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EPIPE || errno == ECONNRESET) {
+        // The peer hung up while we were replying — their prerogative,
+        // not a transport fault of ours; callers route this to the same
+        // clean-hangup path as an orderly EOF.
+        throw PeerClosedError(std::string("write: peer closed: ") + std::strerror(errno));
+      }
+      throwErrno("write");
+    }
+    off += static_cast<std::size_t>(w);
+  }
+}
+
 void writeFrame(int fd, std::string_view payload) {
   if (payload.size() > kMaxFrameBytes) {
     throw std::runtime_error("writeFrame: payload exceeds frame limit");
@@ -199,7 +198,7 @@ void writeFrame(int fd, std::string_view payload) {
   frame.push_back(static_cast<char>(n >> 8));
   frame.push_back(static_cast<char>(n));
   frame.append(payload);
-  writeAll(fd, frame.data(), frame.size());
+  writeAll(fd, frame);
 }
 
 bool readFrame(int fd, std::string& payload) {

@@ -79,6 +79,11 @@ Message decodeMessage(std::string_view payload);
 
 // -- Framed socket I/O (POSIX fds) ------------------------------------------
 
+/// Write all of `bytes`, looping over partial writes, with SIGPIPE
+/// suppressed. Throws PeerClosedError on EPIPE/ECONNRESET and
+/// std::runtime_error on any other failure.
+void writeAll(int fd, std::string_view bytes);
+
 /// Write one length-prefixed frame as a single send (prefix and payload
 /// together, so Nagle never holds a payload back for the peer's delayed
 /// ACK); loops over partial writes. Throws std::runtime_error on I/O

@@ -4,20 +4,29 @@
 // acceptance criterion), the 4xx error contract, stats/discovery
 // endpoints, and hostile-peer behaviour — garbage bytes, mid-body
 // hangup, and an RST before the reply (the SIGPIPE regression) must
-// never take the server down.
+// never take the server down. Neither may thousands of closed
+// connections (handler threads are reaped) nor an accept() that runs out
+// of fds (the accept loop retries).
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/chem/synthetic.hpp"
 #include "src/common/rng.hpp"
@@ -59,6 +68,13 @@ class HttpConn {
     linger hard{1, 0};
     ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof hard);
     close();
+  }
+
+  /// Bound every read, so a server that never answers fails the test
+  /// instead of hanging it.
+  void setRecvTimeout(int seconds) {
+    timeval timeout{seconds, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   }
 
   void sendRaw(std::string_view bytes) {
@@ -395,6 +411,102 @@ TEST_F(GatewayFixture, StopRefusesNewConnections) {
     EXPECT_LE(::recv(fd, buf, sizeof buf, 0), 0);
   }
   ::close(fd);
+}
+
+/// Lines in /proc/self/maps. A thread that exited but was never joined
+/// keeps its stack and guard page mapped.
+std::size_t mappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<std::size_t>(std::count(std::istreambuf_iterator<char>(maps),
+                                             std::istreambuf_iterator<char>(), '\n'));
+}
+
+TEST_F(GatewayFixture, ClosedConnectionsReleaseTheirThreads) {
+  // Every connection gets its own handler thread. One left unjoined
+  // after its peer closes keeps two mappings; enough of them exhaust
+  // vm.max_map_count, and the next thread creation aborts the gateway.
+  const auto closeAfterReply = [&] {
+    HttpConn conn(port());
+    conn.sendRaw("GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    return conn.readResponse().status;
+  };
+  for (int i = 0; i < 16; ++i) ASSERT_EQ(closeAfterReply(), 200);  // warm the stack cache
+  const std::size_t before = mappingCount();
+  for (int i = 0; i < 2000; ++i) ASSERT_EQ(closeAfterReply(), 200);
+  const std::size_t after = mappingCount();
+  EXPECT_LT(after, before + 100) << "mappings grew from " << before << " to " << after;
+  EXPECT_EQ(gateway_->stats().connections, 2016u);
+}
+
+/// Lowers this process's soft fd limit and fills every free slot, so the
+/// next fd anyone asks for fails with EMFILE. The destructor closes the
+/// fillers and restores the limit.
+class FdExhaustion {
+ public:
+  FdExhaustion() {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    source_ = ::open("/dev/null", O_RDONLY);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min<rlim_t>(saved_.rlim_cur, 256);
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+    for (int fd; (fd = ::dup(source_)) >= 0;) fillers_.push_back(fd);
+    exhausted_ = errno == EMFILE;
+  }
+  ~FdExhaustion() {
+    release();
+    ::close(source_);
+    ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+  /// True when the table is full and one slot can be freed.
+  bool exhausted() const { return exhausted_ && !fillers_.empty(); }
+
+  void freeOneSlot() {
+    ::close(fillers_.back());
+    fillers_.pop_back();
+  }
+
+  void release() {
+    for (const int fd : fillers_) ::close(fd);
+    fillers_.clear();
+  }
+
+ private:
+  rlimit saved_{};
+  int source_ = -1;
+  bool exhausted_ = false;
+  std::vector<int> fillers_;
+};
+
+TEST_F(GatewayFixture, AcceptSurvivesFdExhaustion) {
+  // A blocked accept() has already reserved the fd it will hand out, so
+  // the first client is served. The accept() after it finds no free fd
+  // and fails with EMFILE. That failure must not end the accept loop:
+  // once the fds are back, the next client is served.
+  // One request runs before the table fills, so first-time work that
+  // needs an fd of its own is done (UBSan's dynamic-type check opens a
+  // pipe on a cache miss).
+  const std::uint16_t gatewayPort = port();
+  {
+    HttpConn warmup(gatewayPort);
+    warmup.get("/v1/healthz");
+    ASSERT_EQ(warmup.readResponse().status, 200);
+  }
+  FdExhaustion fds;
+  ASSERT_TRUE(fds.exhausted());
+  fds.freeOneSlot();
+  {
+    HttpConn first(gatewayPort);
+    first.setRecvTimeout(2);
+    first.get("/v1/healthz");
+    ASSERT_EQ(first.readResponse().status, 200);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));  // accept() hits EMFILE
+  }
+  fds.release();
+  HttpConn next(gatewayPort);
+  next.setRecvTimeout(2);
+  next.get("/v1/healthz");
+  EXPECT_EQ(next.readResponse().status, 200);
 }
 
 TEST(TenantDirectoryTest, RejectsBadRegistrations) {

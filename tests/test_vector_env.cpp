@@ -1,8 +1,8 @@
 // Vectorized training guards: the V=1 lockstep run must reproduce the
 // sequential Trainer bit-for-bit (episode records, replay contents,
 // final network weights), and V>1 runs must be deterministic across
-// repeat runs and across thread counts. Also pins down the ownership
-// split between the lockstep VectorEnv path and ParallelCollector.
+// repeat runs and across thread counts. Also pins down which VectorEnv
+// implementation batches its scoring (`batchedSteps`).
 
 #include <gtest/gtest.h>
 
