@@ -147,7 +147,9 @@ def main():
         for name in MODELS:
             expect_keys(by_name[name], ["queue_depth", "queue_capacity", "workers",
                                         "dock", "screen", "jobs", "batches",
-                                        "mean_batch_rows"], f"stats[{name}]")
+                                        "mean_batch_rows", "full_batches",
+                                        "rollout_flushes", "deadline_flushes"],
+                        f"stats[{name}]")
             expect_keys(by_name[name]["dock"], ["requests", "errors", "latency_samples",
                                                 "latency_ms"], f"stats[{name}].dock")
             expect_keys(by_name[name]["dock"]["latency_ms"], ["p50", "p90", "p99"],

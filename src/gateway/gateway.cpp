@@ -251,8 +251,12 @@ HttpGateway::Reply HttpGateway::handleStats() const {
     jobs.set("cancelled", static_cast<double>(tenant.service.cancelled));
     jobs.set("timed_out", static_cast<double>(tenant.service.timedOut));
     entry.set("jobs", std::move(jobs));
-    entry.set("batches", static_cast<double>(tenant.service.batcher.batches));
-    entry.set("mean_batch_rows", tenant.service.batcher.meanBatchRows());
+    const serve::BatcherStats& batcher = tenant.service.batcher;
+    entry.set("batches", static_cast<double>(batcher.batches));
+    entry.set("mean_batch_rows", batcher.meanBatchRows());
+    entry.set("full_batches", static_cast<double>(batcher.fullBatches));
+    entry.set("rollout_flushes", static_cast<double>(batcher.rolloutFlushes));
+    entry.set("deadline_flushes", static_cast<double>(batcher.deadlineFlushes));
     models.push(std::move(entry));
   }
   body.set("models", std::move(models));

@@ -41,7 +41,11 @@ DockingService::DockingService(const chem::Scenario& scenario, ModelRegistry& re
           options.batcher),
       queue_(options.queueCapacity) {
   if (options_.workers == 0) options_.workers = 1;
-  options_.env.scoring.pool = pool;
+  // One pose is too little work to split, and a pooled caller helps
+  // drain the shared queue while it waits, so a dock step could end up
+  // running a chunk of a screen. The serial sum adds the same per-atom
+  // terms in the same order, so scores are bitwise those of the pool.
+  options_.env.scoring.pool = nullptr;
   if (encoder_.dim() != registry_.inputDim()) {
     throw std::invalid_argument("DockingService: registry input dim " +
                                 std::to_string(registry_.inputDim()) +
@@ -210,6 +214,7 @@ void DockingService::runDock(Job& job, const DockRequest& request, JobOutcome& o
   r.bestRmsd = env.rmsdToCrystal();
 
   std::vector<double> state;
+  InferenceBatcher::Rollout rollout(batcher_);
   int t = 0;
   for (; t < request.maxSteps && !env.terminated(); ++t) {
     if (job.cancelRequested()) {

@@ -5,8 +5,11 @@
 /// policy rollout) and screen (vs_pipeline) jobs against the current
 /// registry model. Admission goes through the bounded JobQueue
 /// (backpressure + priorities); per-step Q evaluation goes through the
-/// shared InferenceBatcher, so concurrent rollouts coalesce their
-/// forward passes into GEMM-friendly batches. Workers poll job
+/// shared InferenceBatcher, inside an InferenceBatcher::Rollout, so
+/// concurrent rollouts coalesce their forward passes into GEMM-friendly
+/// batches that flush as soon as every rollout in progress has a row
+/// queued. A dock step scores its one pose on its own worker thread;
+/// only screens fan out over the thread pool. Workers poll job
 /// cancellation flags and per-job deadlines between environment steps,
 /// so a stuck or abandoned request never pins a worker.
 
@@ -32,7 +35,7 @@ struct ServiceOptions {
   /// registry's input dim must match the resulting encoder dim.
   core::StateMode stateMode = core::StateMode::kLigandPositions;
   bool normalizeStates = true;
-  metadock::EnvConfig env;     ///< per-worker environment config
+  metadock::EnvConfig env;     ///< per-worker environment config (scoring runs serially)
   BatcherOptions batcher;
   /// Static-prefix fold override; unset defers to the
   /// DQNDOCK_FOLD_STATIC environment gate (default on). Inert when the
@@ -113,6 +116,9 @@ class DockingService {
  public:
   /// The registry's network architecture must match the encoder dim and
   /// the env action count (throws std::invalid_argument otherwise).
+  /// `pool` (may be nullptr) runs screens; dock steps score serially,
+  /// since one pose is too little work to split, and any pool set in
+  /// `options.env.scoring` is ignored.
   DockingService(const chem::Scenario& scenario, ModelRegistry& registry,
                  ServiceOptions options = {}, ThreadPool* pool = nullptr);
   ~DockingService();
@@ -162,7 +168,7 @@ class DockingService {
   chem::Scenario scenario_;
   ModelRegistry& registry_;
   ServiceOptions options_;
-  ThreadPool* pool_;
+  ThreadPool* pool_;  ///< screens only
   core::StateEncoder encoder_;
   /// Decided after encoder_, before batcher_ (the batcher's row width
   /// depends on it) — member order is load-bearing.

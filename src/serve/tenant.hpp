@@ -7,8 +7,10 @@
 /// ModelRegistry. The directory is the route table — "scenario name" ->
 /// {service, registry} — plus per-tenant, per-route observability:
 /// request/error counters and a sliding latency window with
-/// percentile queries, so a later PR can autoscale pool sizes and
-/// batcher flush deadlines from observed load (ROADMAP item).
+/// percentile queries, so pool sizes can later be scaled from observed
+/// load (ROADMAP item). Batcher flush deadlines need no such tuning:
+/// batches flush once every dock in progress has a row queued, and the
+/// deadline is only an upper bound.
 ///
 /// Registration happens once, before traffic: add() every tenant, then
 /// hand the directory to the front-end. Lookups after that point are

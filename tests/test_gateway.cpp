@@ -331,6 +331,15 @@ TEST_F(GatewayFixture, StatsReflectPerModelTraffic) {
   EXPECT_GT(latency->find("p50")->asNumber(), 0.0);
   EXPECT_GE(latency->find("p99")->asNumber(), latency->find("p50")->asNumber());
   EXPECT_EQ(alpha.find("jobs")->find("done")->asNumber(), 2.0);
+  // Each batch is counted under exactly one flush reason.
+  for (const char* key : {"batches", "full_batches", "rollout_flushes", "deadline_flushes"}) {
+    ASSERT_NE(alpha.find(key), nullptr) << key;
+  }
+  const double batches = alpha.find("batches")->asNumber();
+  EXPECT_GE(batches, 1.0);
+  EXPECT_EQ(alpha.find("full_batches")->asNumber() + alpha.find("rollout_flushes")->asNumber() +
+                alpha.find("deadline_flushes")->asNumber(),
+            batches);
   // Beta saw none of it.
   const JsonValue& beta = models[1];
   ASSERT_EQ(beta.find("name")->asString(), "beta");

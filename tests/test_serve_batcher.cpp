@@ -1,11 +1,14 @@
 // Tests for the micro-batching inference scheduler: coalesced batches
 // must reproduce per-row predict() results bit-for-bit, deadlines must
-// flush partial batches, and shutdown must be clean.
+// flush partial batches, open rollouts must flush as soon as each has a
+// row queued, and shutdown must be clean.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -201,6 +204,131 @@ TEST_F(BatcherFixture, WrongShapeFromForwardIsAnError) {
       [](const nn::Tensor& in, nn::Tensor& out) { out.resize(in.rows(), 1); }, kDim, kActions,
       {});
   EXPECT_THROW(batcher.infer(makeState(1)), std::runtime_error);
+}
+
+TEST_F(BatcherFixture, LoneRolloutNeverWaitsForTheDeadline) {
+  BatcherOptions opts;
+  opts.flushDeadline = std::chrono::seconds(1);
+  InferenceBatcher batcher(forward(), kDim, kActions, opts);
+
+  const auto start = std::chrono::steady_clock::now();
+  {
+    InferenceBatcher::Rollout rollout(batcher);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      ASSERT_EQ(batcher.infer(makeState(i)), referenceRow(makeState(i))) << "i=" << i;
+    }
+  }
+  // One deadline flush alone would cost a full second.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(500));
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 20u);
+  EXPECT_EQ(stats.rolloutFlushes, 20u);
+  EXPECT_EQ(stats.deadlineFlushes, 0u);
+  EXPECT_EQ(stats.fullBatches, 0u);
+}
+
+TEST_F(BatcherFixture, LockstepRolloutsShareOneBatchPerStep) {
+  constexpr std::size_t kRollouts = 4;
+  constexpr std::size_t kSteps = 25;
+  BatcherOptions opts;
+  opts.flushDeadline = std::chrono::seconds(1);
+  InferenceBatcher batcher(forward(), kDim, kActions, opts);
+
+  // The barrier holds each step until every rollout is open and has its
+  // previous row back, so a step's K rows are all that can arrive.
+  std::barrier step(static_cast<std::ptrdiff_t>(kRollouts));
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kRollouts; ++k) {
+    threads.emplace_back([&, k] {
+      InferenceBatcher::Rollout rollout(batcher);
+      for (std::size_t i = 0; i < kSteps; ++i) {
+        step.arrive_and_wait();
+        batcher.infer(makeState(k * 1000 + i));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.requests, kRollouts * kSteps);
+  EXPECT_EQ(stats.batches, kSteps);  // with the two below: every batch has K rows
+  EXPECT_EQ(stats.maxBatchRows, kRollouts);
+  EXPECT_EQ(stats.rolloutFlushes, kSteps);
+  EXPECT_EQ(stats.deadlineFlushes, 0u);
+}
+
+TEST_F(BatcherFixture, EndingRolloutFlushesAnotherRolloutsQueuedRow) {
+  using Clock = std::chrono::steady_clock;
+  BatcherOptions opts;
+  opts.flushDeadline = std::chrono::seconds(1);
+  InferenceBatcher batcher(forward(), kDim, kActions, opts);
+
+  std::optional<InferenceBatcher::Rollout> ending(std::in_place, batcher);
+  std::atomic<bool> inferring{false};
+  Clock::time_point returned;
+  std::thread other([&] {
+    InferenceBatcher::Rollout rollout(batcher);
+    inferring = true;
+    batcher.infer(makeState(1));  // 1 row for 2 open rollouts: stays queued
+    returned = Clock::now();
+  });
+  while (!inferring) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the row queue
+  const auto ended = Clock::now();
+  ending.reset();
+  other.join();
+
+  EXPECT_GE(returned, ended);  // the row waited for the other rollout to end...
+  EXPECT_LT(returned - ended, std::chrono::milliseconds(500));  // ...not for the deadline
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.rolloutFlushes, 1u);
+  EXPECT_EQ(stats.deadlineFlushes, 0u);
+}
+
+TEST_F(BatcherFixture, MixedRolloutAndPlainCallersMatchPerRowAndNeverOverlap) {
+  BatcherOptions opts;
+  opts.maxBatch = 8;
+  opts.flushDeadline = std::chrono::microseconds(200);
+  std::atomic<int> inForward{0};
+  std::atomic<int> overlaps{0};
+  InferenceBatcher batcher(
+      [&](const nn::Tensor& states, nn::Tensor& q) {
+        if (inForward.fetch_add(1) != 0) overlaps.fetch_add(1);
+        net_.predict(states, q);
+        inForward.fetch_sub(1);
+      },
+      kDim, kActions, opts);
+
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 60;
+  constexpr std::size_t kStepsPerRollout = 6;
+  std::vector<std::vector<std::vector<double>>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Even threads dock: a fresh rollout every few rows. Odd threads
+      // are plain callers.
+      std::optional<InferenceBatcher::Rollout> rollout;
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        if (t % 2 == 0 && i % kStepsPerRollout == 0) rollout.emplace(batcher);
+        results[t].push_back(batcher.infer(makeState(t * 1000 + i)));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(overlaps.load(), 0);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      ASSERT_EQ(results[t][i], referenceRow(makeState(t * 1000 + i))) << "t=" << t << " i=" << i;
+    }
+  }
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.requests, kThreads * kPerThread);
+  EXPECT_EQ(stats.fullBatches + stats.rolloutFlushes + stats.deadlineFlushes, stats.batches);
+  EXPECT_GE(stats.rolloutFlushes, 1u);
+  EXPECT_LE(stats.maxBatchRows, opts.maxBatch);
 }
 
 }  // namespace

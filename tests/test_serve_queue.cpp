@@ -1,14 +1,19 @@
 // Tests for the bounded MPMC job queue (backpressure, priorities,
 // cancellation) and the docking service worker pool built on it
-// (timeouts, cancellation mid-rollout, graceful shutdown).
+// (timeouts, cancellation mid-rollout, graceful shutdown, served docks
+// equal to a hand-rolled reference rollout).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "src/chem/synthetic.hpp"
+#include "src/common/thread_pool.hpp"
+#include "src/core/state_encoder.hpp"
 #include "src/serve/docking_service.hpp"
 #include "src/serve/job_queue.hpp"
 
@@ -110,11 +115,55 @@ class ServiceFixture : public ::testing::Test {
  protected:
   ServiceFixture() : scenario_(chem::buildScenario(chem::ScenarioSpec::tiny())) {}
 
-  std::unique_ptr<ModelRegistry> makeRegistry() {
+  /// Same weights on every call.
+  std::unique_ptr<rl::MlpQNetwork> makeNet() const {
     Rng rng(11);
     const std::size_t dim = scenario_.ligand.atomCount() * 3;
-    return std::make_unique<ModelRegistry>(
-        std::make_unique<rl::MlpQNetwork>(dim, std::vector<std::size_t>{16}, 12, rng));
+    return std::make_unique<rl::MlpQNetwork>(dim, std::vector<std::size_t>{16}, 12, rng);
+  }
+
+  std::unique_ptr<ModelRegistry> makeRegistry() {
+    return std::make_unique<ModelRegistry>(makeNet());
+  }
+
+  /// The dock the service should serve, rolled out by hand: an env with
+  /// no pool, one per-row predict per greedy step, and the service's Rng
+  /// draw order (one uniform per step when epsilon > 0, then one
+  /// uniformInt when it explores).
+  DockResult referenceDock(const ServiceOptions& opts, const rl::QNetwork& net,
+                           const DockRequest& request) const {
+    metadock::EnvConfig envConfig = opts.env;
+    envConfig.scoring.pool = nullptr;
+    metadock::DockingEnv env(scenario_, envConfig);
+    const core::StateEncoder encoder(scenario_, opts.stateMode, opts.normalizeStates);
+    Rng rng(request.seed);
+    DockResult r;
+    env.reset();
+    r.initialScore = env.score();
+    r.bestScore = r.initialScore;
+    r.bestRmsd = env.rmsdToCrystal();
+    nn::Tensor state(1, encoder.dim());
+    nn::Tensor q;
+    int t = 0;
+    for (; t < request.maxSteps && !env.terminated(); ++t) {
+      int action;
+      if (request.epsilon > 0.0 && rng.uniform() < request.epsilon) {
+        action = static_cast<int>(rng.uniformInt(static_cast<std::uint64_t>(env.actionCount())));
+      } else {
+        encoder.encodeFromPositions(env.ligandPositions(), state.row(0));
+        net.predict(state, q);
+        const auto row = q.row(0);
+        action = static_cast<int>(std::max_element(row.begin(), row.end()) - row.begin());
+      }
+      const metadock::StepResult step = env.step(action);
+      r.bestScore = std::max(r.bestScore, step.score);
+      r.bestRmsd = std::min(r.bestRmsd, env.rmsdToCrystal());
+    }
+    r.finalScore = env.score();
+    r.steps = static_cast<std::size_t>(t);
+    r.termination =
+        env.terminated() ? metadock::terminationName(env.terminationReason()) : "step_budget";
+    return r;
   }
 
   ServiceOptions fastOptions(std::size_t workers, std::size_t capacity) const {
@@ -173,6 +222,50 @@ TEST_F(ServiceFixture, ManyConcurrentDocksAllComplete) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.done, 12u);
   EXPECT_GE(stats.batcher.requests, 1u);
+}
+
+TEST_F(ServiceFixture, ServedDocksEqualAReferenceRolloutBitForBit) {
+  auto registry = makeRegistry();
+  const auto net = makeNet();
+  ServiceOptions opts = fastOptions(2, 16);
+  // Rows wait for each other: two docks in flight share 2-row batches,
+  // and a step that waited out the deadline would show in the stats.
+  opts.batcher.flushDeadline = std::chrono::seconds(1);
+  ThreadPool pool(4);
+  DockingService service(scenario_, *registry, opts, &pool);
+  ASSERT_FALSE(service.foldActive());  // the reference encodes the full state
+
+  std::vector<DockRequest> requests;
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    DockRequest request;
+    request.maxSteps = 40;
+    request.epsilon = 0.25;
+    request.seed = seed;
+    const SubmitResult submitted = service.submitDock(request);
+    ASSERT_TRUE(submitted.accepted());
+    requests.push_back(request);
+    ids.push_back(submitted.jobId);
+  }
+  const auto sameBits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const JobOutcome outcome = service.wait(ids[i]);
+    ASSERT_EQ(outcome.status, JobStatus::kDone) << outcome.error;
+    const DockResult& served = outcome.dock;
+    const DockResult expected = referenceDock(opts, *net, requests[i]);
+    SCOPED_TRACE("seed " + std::to_string(requests[i].seed));
+    EXPECT_GT(expected.steps, 0u);
+    EXPECT_EQ(served.steps, expected.steps);
+    EXPECT_EQ(served.termination, expected.termination);
+    EXPECT_EQ(served.modelVersion, 1u);
+    EXPECT_TRUE(sameBits(served.initialScore, expected.initialScore));
+    EXPECT_TRUE(sameBits(served.bestScore, expected.bestScore));
+    EXPECT_TRUE(sameBits(served.finalScore, expected.finalScore));
+    EXPECT_TRUE(sameBits(served.bestRmsd, expected.bestRmsd));
+  }
+  const BatcherStats batcher = service.stats().batcher;
+  EXPECT_EQ(batcher.maxBatchRows, 2u);
+  EXPECT_EQ(batcher.deadlineFlushes, 0u);
 }
 
 TEST_F(ServiceFixture, ScreenJobCompletes) {
