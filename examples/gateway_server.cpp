@@ -1,20 +1,20 @@
 // HTTP/JSON gateway: one REST front-end hosting MANY registered
 // networks. Every --models name gets its own DockingService worker pool
 // backed by a versioned, hot-swappable ModelRegistry; requests route by
-// model name (POST /v1/models/<name>/dock). The custom length-prefixed
-// TCP framing stays as the INTERNAL transport — pass --tcp-port to also
-// expose the first model over it for ./docking_client and the screen
-// tools. Runs until SIGINT/SIGTERM.
+// model name (POST /v1/models/<name>/dock). Runs until SIGINT/SIGTERM.
 //
 //   ./gateway_server [--port=0] [--models=alpha,beta] [--scenario=tiny|paper]
 //                    [--workers=2] [--queue=64] [--batch=32] [--flush-us=200]
-//                    [--hidden=64,64] [--seed=2018] [--tcp-port=PORT]
+//                    [--hidden=64,64] [--seed=2018]
 //
 // Quickstart against a running gateway (or see scripts/gateway_curl.sh):
 //   curl -s localhost:PORT/v1/models
-//   curl -s -X POST localhost:PORT/v1/models/alpha/dock \
-//        -d '{"max_steps": 50, "seed": 7}'
+//   curl -s -X POST localhost:PORT/v1/models/alpha/dock -d '{"max_steps": 50, "seed": 7}'
 //   curl -s localhost:PORT/v1/stats
+//
+// To serve a trained policy, start with the --scenario and --hidden it was
+// trained with, then publish its checkpoint (a path on the server's disk):
+//   curl -s -X POST localhost:PORT/v1/models/alpha/publish -d '{"path": "/abs/policy.bin"}'
 
 #include <csignal>
 #include <cstdio>
@@ -27,7 +27,6 @@
 #include "src/chem/synthetic.hpp"
 #include "src/common/cli.hpp"
 #include "src/gateway/gateway.hpp"
-#include "src/serve/tcp.hpp"
 
 using namespace dqndock;
 
@@ -38,7 +37,7 @@ void printUsage() {
                "usage: gateway_server [--port=0] [--models=alpha,beta]\n"
                "                      [--scenario=tiny|paper] [--workers=2] [--queue=64]\n"
                "                      [--batch=32] [--flush-us=200] [--hidden=64,64]\n"
-               "                      [--seed=2018] [--tcp-port=PORT]\n");
+               "                      [--seed=2018]\n");
 }
 
 std::vector<std::string> splitNames(const std::string& spec) {
@@ -107,15 +106,6 @@ int run(const CliArgs& args) {
 
   gateway::HttpGateway gw(directory, static_cast<std::uint16_t>(args.getUint16("port", 0)));
 
-  // Internal transport rides along untouched: the wire protocol server
-  // fronts the FIRST model for length-prefixed clients.
-  std::unique_ptr<serve::TcpServer> tcpServer;
-  if (args.has("tcp-port")) {
-    tcpServer = std::make_unique<serve::TcpServer>(
-        *services.front(), *registries.front(),
-        static_cast<std::uint16_t>(args.getUint16("tcp-port", 0)));
-  }
-
   std::thread signalThread([&] {
     int sig = 0;
     sigwait(&signals, &sig);
@@ -127,10 +117,6 @@ int run(const CliArgs& args) {
   std::printf("  %zu model(s):", names.size());
   for (const auto& name : names) std::printf(" %s", name.c_str());
   std::printf("  (%zu workers, queue %zu each)\n", opts.workers, opts.queueCapacity);
-  if (tcpServer) {
-    std::printf("  internal wire transport for '%s' on 127.0.0.1:%u\n", names.front().c_str(),
-                tcpServer->port());
-  }
   std::printf("try: curl -s 127.0.0.1:%u/v1/models\n", gw.port());
   std::printf("     curl -s -X POST 127.0.0.1:%u/v1/models/%s/dock -d '{\"max_steps\":50}'\n",
               gw.port(), names.front().c_str());
@@ -140,7 +126,6 @@ int run(const CliArgs& args) {
   ::kill(::getpid(), SIGTERM);  // unblock the sigwait thread
   signalThread.join();
   gw.stop();
-  if (tcpServer) tcpServer->stop();
   for (auto& service : services) service->shutdown();
 
   const gateway::GatewayStats stats = gw.stats();

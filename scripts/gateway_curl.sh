@@ -24,5 +24,9 @@ echo "== screen a small generated library on model 'beta' =="
 curl -sf -X POST "${BASE}/v1/models/beta/screen" \
      -d '{"library_size": 4, "min_atoms": 8, "max_atoms": 12, "evals": 200}'; echo
 
+echo "== hot-swap 'alpha' from ./policy.bin (422 if missing or of another shape) =="
+curl -s -X POST "${BASE}/v1/models/alpha/publish" \
+     -d "{\"path\": \"${PWD}/policy.bin\"}"; echo
+
 echo "== per-model queue depth + latency percentiles =="
 curl -sf "${BASE}/v1/stats"; echo

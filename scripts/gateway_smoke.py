@@ -13,7 +13,9 @@ dependency, the same bytes curl would send:
   * POST /v1/models/<n>/screen  -> routed; schema-checked
   * GET  /v1/stats              -> per-model counters reflect exactly the
                                    traffic each model received
-  * error contract              -> 404 unknown model, 400 bad JSON
+  * error contract              -> 404 unknown model, 400 bad JSON,
+                                   422 publish of a missing checkpoint
+                                   with model_version unchanged
 
 Exits non-zero on the first violation, printing what failed.
 
@@ -134,6 +136,13 @@ def main():
         status, _ = request(port, "POST", "/v1/models/alpha/dock",
                             json.dumps({"max_steps": "lots"}))
         expect(status == 400, f"mistyped field -> {status}")
+        status, text = request(port, "POST", "/v1/models/alpha/publish",
+                               json.dumps({"path": "/nonexistent/weights.bin"}))
+        expect(status == 422, f"publish of a missing checkpoint -> {status}: {text}")
+        status, text = request(port, "GET", "/v1/models")
+        versions = {m["name"]: m["model_version"] for m in json.loads(text)["models"]}
+        expect(versions == {name: 1 for name in MODELS},
+               f"a refused publish changed a model version: {versions}")
 
         # stats: per-model routing must be visible in the counters
         status, text = request(port, "GET", "/v1/stats")

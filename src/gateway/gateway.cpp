@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <exception>
+#include <stdexcept>
 
 #include <sys/socket.h>
 
@@ -158,17 +159,17 @@ HttpGateway::Reply HttpGateway::dispatch(const HttpRequest& request) {
       return handleStats();
     }
 
-    // /v1/models/<name>/dock|screen
+    // /v1/models/<name>/dock|screen|publish
     const std::string prefix = "/v1/models/";
     if (path.rfind(prefix, 0) == 0) {
       const std::string rest = path.substr(prefix.size());
       const std::size_t slash = rest.find('/');
       if (slash == std::string::npos || slash == 0 || slash + 1 >= rest.size()) {
-        return Reply(404, errorBody("expected /v1/models/<name>/dock or .../screen"));
+        return Reply(404, errorBody("expected /v1/models/<name>/dock, .../screen or .../publish"));
       }
       const std::string name = rest.substr(0, slash);
       const std::string verb = rest.substr(slash + 1);
-      if (verb != "dock" && verb != "screen") {
+      if (verb != "dock" && verb != "screen" && verb != "publish") {
         return Reply(404, errorBody("unknown action \"" + verb + "\""));
       }
       serve::TenantDirectory::Tenant* tenant = directory_.find(name);
@@ -187,7 +188,8 @@ HttpGateway::Reply HttpGateway::dispatch(const HttpRequest& request) {
       if (!body.isObject()) {
         return Reply(400, errorBody("request body must be a JSON object"));
       }
-      return verb == "dock" ? handleDock(*tenant, body) : handleScreen(*tenant, body);
+      if (verb == "dock") return handleDock(*tenant, body);
+      return verb == "screen" ? handleScreen(*tenant, body) : handlePublish(*tenant, body);
     }
 
     return Reply(404, errorBody("no route for " + path));
@@ -315,6 +317,24 @@ HttpGateway::Reply HttpGateway::handleScreen(serve::TenantDirectory::Tenant& ten
   JsonValue out = JsonValue::object();
   out.set("model", tenant.name);
   fillScreenJson(out, outcome);
+  return Reply(200, std::move(out));
+}
+
+HttpGateway::Reply HttpGateway::handlePublish(serve::TenantDirectory::Tenant& tenant,
+                                              const JsonValue& body) {
+  const std::string path = body.stringOr("path", "");
+  if (path.empty()) return Reply(400, errorBody("field \"path\" is required"));
+  std::uint64_t version = 0;
+  try {
+    version = tenant.registry->publishFromFile(path);
+  } catch (const std::runtime_error& e) {
+    // Unreadable, truncated, bad magic or another architecture: the
+    // registry threw before swapping, so the served version is unchanged.
+    return Reply(422, errorBody(e.what()));
+  }
+  JsonValue out = JsonValue::object();
+  out.set("model", tenant.name);
+  out.set("model_version", static_cast<double>(version));
   return Reply(200, std::move(out));
 }
 

@@ -2,13 +2,11 @@
 
 /// \file gateway.hpp
 /// HTTP/JSON front-end for the docking service: browsers and standard
-/// tooling (curl, python-requests) submit dock/screen jobs as JSON over
-/// HTTP/1.1 instead of the custom length-prefixed framing — which stays
-/// in place as the INTERNAL transport (TcpServer/TcpClient, the screen
-/// coordinator wire). One gateway hosts many registered networks via a
-/// TenantDirectory: requests route by model name onto that tenant's
-/// DockingService worker pool, each backed by its own hot-swappable
-/// ModelRegistry.
+/// tooling (curl, python-requests) submit dock/screen jobs and publish
+/// weights as JSON over HTTP/1.1. One gateway hosts many registered
+/// networks via a TenantDirectory: requests route by model name onto
+/// that tenant's DockingService worker pool, each backed by its own
+/// hot-swappable ModelRegistry.
 ///
 /// Routes (JSON in, JSON out; no other formats):
 ///   GET  /v1/healthz                 liveness -> {"status":"ok",...}
@@ -19,12 +17,15 @@
 ///                                    "priority","timeout_s"} (all optional)
 ///   POST /v1/models/<name>/screen    body: {"library_size","min_atoms",
 ///                                    "max_atoms","evals","seed",...}
+///   POST /v1/models/<name>/publish   body: {"path"}: hot-swap weights from
+///                                    a server-side checkpoint file
 ///
 /// Error contract: unknown model -> 404, wrong method -> 405, malformed
 /// JSON/HTTP -> 400-class with a JSON {"error": ...} body, queue
-/// backpressure -> 503 with the rejection code. A malformed or hostile
-/// byte stream can produce a 4xx and a closed connection — never a
-/// crash, hang, or SIGPIPE exit.
+/// backpressure -> 503 with the rejection code, a checkpoint the registry
+/// will not publish -> 422 with the served version unchanged. A malformed
+/// or hostile byte stream can produce a 4xx and a closed connection —
+/// never a crash, hang, or SIGPIPE exit.
 
 #include <cstdint>
 #include <mutex>
@@ -85,6 +86,7 @@ class HttpGateway {
   Reply handleStats() const;
   Reply handleDock(serve::TenantDirectory::Tenant& tenant, const JsonValue& body);
   Reply handleScreen(serve::TenantDirectory::Tenant& tenant, const JsonValue& body);
+  Reply handlePublish(serve::TenantDirectory::Tenant& tenant, const JsonValue& body);
   /// serve::writeAll; false when the peer hung up (counted) or the
   /// transport failed (the connection is then abandoned).
   bool sendAll(int fd, std::string_view bytes);

@@ -1,17 +1,16 @@
 #pragma once
 
 /// \file listener.hpp
-/// The one loopback socket lifecycle under serve::TcpServer,
-/// screen::ScreenCoordinator and gateway::HttpGateway, which are protocol
-/// handlers over it (DESIGN.md §9 "One listener"). It binds 127.0.0.1,
-/// accepts on its own thread and runs the owner's handler on one thread
-/// per connection. It owns every socket: after the handler returns, it
-/// deregisters the fd and then closes it, so no stop level ever shuts
-/// down a recycled fd. Finished handler threads are joined by the accept
-/// loop before its next spawn, or by stop(); none is detached. Only a
-/// stop request ends the accept loop: aborted handshakes are retried at
-/// once, any other accept() error (EMFILE, ENOBUFS, ...) after a short
-/// fixed delay.
+/// The one loopback socket lifecycle under screen::ScreenCoordinator and
+/// gateway::HttpGateway, which are protocol handlers over it (DESIGN.md
+/// §9 "One listener"). It binds 127.0.0.1, accepts on its own thread and
+/// runs the owner's handler on one thread per connection. It owns every
+/// socket: after the handler returns, it deregisters the fd and then
+/// closes it, so no stop level ever shuts down a recycled fd. Finished
+/// handler threads are joined by the accept loop before its next spawn,
+/// or by stop(); none is detached. Only a stop request ends the accept
+/// loop: aborted handshakes are retried at once, any other accept() error
+/// (EMFILE, ENOBUFS, ...) after a short fixed delay.
 ///
 /// Lock rule: the listener never holds its lock while a handler runs and
 /// never calls into its owner otherwise, so handlers and owners may call

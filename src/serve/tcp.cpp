@@ -15,174 +15,6 @@
 
 namespace dqndock::serve {
 
-namespace {
-
-JobPriority priorityFromName(const std::string& name) {
-  if (name == "high") return JobPriority::kHigh;
-  if (name == "low") return JobPriority::kLow;
-  return JobPriority::kNormal;
-}
-
-void fillDockFields(Message& reply, const JobOutcome& outcome) {
-  reply.set("job_id", outcome.jobId)
-      .set("status", std::string(jobStatusName(outcome.status)))
-      .set("initial_score", outcome.dock.initialScore)
-      .set("best_score", outcome.dock.bestScore)
-      .set("final_score", outcome.dock.finalScore)
-      .set("best_rmsd", outcome.dock.bestRmsd)
-      .set("steps", static_cast<std::uint64_t>(outcome.dock.steps))
-      .set("termination", outcome.dock.termination)
-      .set("model_version", outcome.dock.modelVersion)
-      .set("seconds", outcome.dock.seconds);
-  if (!outcome.error.empty()) reply.set("error", outcome.error);
-}
-
-void fillScreenFields(Message& reply, const JobOutcome& outcome) {
-  reply.set("job_id", outcome.jobId)
-      .set("status", std::string(jobStatusName(outcome.status)))
-      .set("ligands", static_cast<std::uint64_t>(outcome.screen.ligands))
-      .set("hit_count", static_cast<std::uint64_t>(outcome.screen.hitCount))
-      .set("best_score", outcome.screen.bestScore)
-      .set("best_ligand", outcome.screen.bestLigand)
-      .set("evaluations", static_cast<std::uint64_t>(outcome.screen.totalEvaluations))
-      .set("seconds", outcome.screen.seconds);
-  if (!outcome.error.empty()) reply.set("error", outcome.error);
-}
-
-}  // namespace
-
-TcpServer::TcpServer(DockingService& service, ModelRegistry& registry, std::uint16_t port)
-    : service_(service), registry_(registry) {
-  listener_.emplace("TcpServer", port, [this](int fd) { handleConnection(fd); });
-}
-
-TcpServer::~TcpServer() { stop(); }
-
-void TcpServer::handleConnection(int fd) {
-  Message request;
-  for (;;) {
-    try {
-      if (!recvMessage(fd, request)) break;  // client hung up cleanly
-    } catch (const ProtocolError&) {
-      std::lock_guard lock(mu_);
-      ++stats_.protocolErrors;
-      break;
-    } catch (const std::exception&) {
-      break;  // transport failure (reset, stop() shutdown) — not the peer's fault
-    }
-    Message reply;
-    try {
-      reply = handleRequest(request);
-    } catch (const std::exception& e) {
-      reply = Message::error(e.what());
-    }
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.requests;
-    }
-    try {
-      sendMessage(fd, reply);
-    } catch (const PeerClosedError&) {
-      // EPIPE/ECONNRESET: the client sent a request and hung up without
-      // reading the reply. Same clean-hangup path as an orderly EOF.
-      std::lock_guard lock(mu_);
-      ++stats_.peerHangups;
-      break;
-    } catch (const std::exception&) {
-      break;  // transport fault mid-response
-    }
-    if (request.type == "SHUTDOWN") break;
-  }
-}
-
-Message TcpServer::handleRequest(const Message& request) {
-  if (request.type == "PING") return Message::ok();
-  if (request.type == "STATUS") return handleStatus();
-  if (request.type == "DOCK") return handleDock(request);
-  if (request.type == "SCREEN") return handleScreen(request);
-  if (request.type == "PUBLISH") {
-    const std::string path = request.get("path");
-    if (path.empty()) return Message::error("PUBLISH requires path=");
-    const std::uint64_t version = registry_.publishFromFile(path);
-    Message reply = Message::ok();
-    reply.set("model_version", version);
-    return reply;
-  }
-  if (request.type == "SHUTDOWN") {
-    requestStop();
-    return Message::ok();
-  }
-  return Message::error("unknown request type: " + request.type);
-}
-
-Message TcpServer::handleDock(const Message& request) {
-  DockRequest dock;
-  dock.maxSteps = static_cast<int>(request.getInt("max_steps", dock.maxSteps));
-  dock.epsilon = request.getDouble("epsilon", dock.epsilon);
-  dock.seed = static_cast<std::uint64_t>(request.getInt("seed", 1));
-  dock.priority = priorityFromName(request.get("priority", "normal"));
-  dock.timeoutSeconds = request.getDouble("timeout_s", 0.0);
-
-  const SubmitResult submitted = service_.submitDock(dock);
-  if (!submitted.accepted()) {
-    Message reply = Message::error(submitted.reason());
-    reply.set("code", std::string(submitStatusName(submitted.status)));
-    return reply;
-  }
-  const JobOutcome outcome = service_.wait(submitted.jobId);
-  Message reply = outcome.status == JobStatus::kDone ? Message::ok()
-                                                     : Message{"ERROR", {}};
-  fillDockFields(reply, outcome);
-  return reply;
-}
-
-Message TcpServer::handleScreen(const Message& request) {
-  ScreenRequest screen;
-  screen.librarySize =
-      static_cast<std::size_t>(request.getInt("library_size", static_cast<long>(screen.librarySize)));
-  screen.minAtoms = static_cast<std::size_t>(request.getInt("min_atoms", 8));
-  screen.maxAtoms = static_cast<std::size_t>(request.getInt("max_atoms", 14));
-  screen.evaluationsPerLigand = static_cast<std::size_t>(request.getInt("evals", 400));
-  screen.seed = static_cast<std::uint64_t>(request.getInt("seed", 2020));
-  screen.priority = priorityFromName(request.get("priority", "normal"));
-  screen.timeoutSeconds = request.getDouble("timeout_s", 0.0);
-
-  const SubmitResult submitted = service_.submitScreen(screen);
-  if (!submitted.accepted()) {
-    Message reply = Message::error(submitted.reason());
-    reply.set("code", std::string(submitStatusName(submitted.status)));
-    return reply;
-  }
-  const JobOutcome outcome = service_.wait(submitted.jobId);
-  Message reply = outcome.status == JobStatus::kDone ? Message::ok()
-                                                     : Message{"ERROR", {}};
-  fillScreenFields(reply, outcome);
-  return reply;
-}
-
-Message TcpServer::handleStatus() const {
-  const ServiceStats stats = service_.stats();
-  Message reply = Message::ok();
-  reply.set("workers", static_cast<std::uint64_t>(stats.workers))
-      .set("queue_depth", static_cast<std::uint64_t>(stats.queueDepth))
-      .set("queue_capacity", static_cast<std::uint64_t>(service_.options().queueCapacity))
-      .set("model_version", registry_.currentVersion())
-      .set("jobs_done", stats.done)
-      .set("jobs_failed", stats.failed)
-      .set("jobs_cancelled", stats.cancelled)
-      .set("jobs_timed_out", stats.timedOut)
-      .set("batches", stats.batcher.batches)
-      .set("mean_batch_rows", stats.batcher.meanBatchRows());
-  return reply;
-}
-
-ServerStats TcpServer::stats() const {
-  std::lock_guard lock(mu_);
-  ServerStats stats = stats_;
-  stats.connections = listener_->connections();
-  return stats;
-}
-
 RetryPolicy RetryPolicy::patient() {
   RetryPolicy p;
   p.maxAttempts = 8;

@@ -1,81 +1,19 @@
 #pragma once
 
 /// \file tcp.hpp
-/// Localhost TCP transport for the docking service: a threaded
-/// accept-loop server that speaks the wire.hpp framed protocol and a
-/// blocking request/response client. POSIX sockets only — no new
-/// dependencies. Request types:
-///
-///   PING                          liveness probe -> OK
-///   STATUS                        queue/worker/model stats -> OK
-///   DOCK     max_steps epsilon seed priority timeout_s -> OK(result)
-///   SCREEN   library_size min_atoms max_atoms evals seed ... -> OK(result)
-///   PUBLISH  path                 hot-swap weights from checkpoint -> OK
-///   SHUTDOWN                      graceful stop -> OK, server drains
-///
-/// Rejections (queue full, shutdown) come back as ERROR with the
-/// backpressure reason — the client is expected to retry later.
+/// Blocking request/response client for the wire.hpp framed protocol on
+/// localhost, with capped-backoff connect/request retry. POSIX sockets
+/// only — no new dependencies. The screen workers speak the
+/// coordinator's lease protocol through it; the servers are protocol
+/// handlers over serve::LoopbackListener.
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
 
-#include "src/serve/docking_service.hpp"
-#include "src/serve/listener.hpp"
 #include "src/serve/wire.hpp"
 
 namespace dqndock::serve {
-
-struct ServerStats {
-  std::uint64_t connections = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t protocolErrors = 0;
-  /// Peers that hung up mid-exchange (EPIPE/ECONNRESET while replying).
-  /// A hangup is the client's prerogative — it is never a protocol
-  /// error and must never kill the server (the PR-10 SIGPIPE fix).
-  std::uint64_t peerHangups = 0;
-};
-
-class TcpServer {
- public:
-  /// Binds 127.0.0.1:`port` (0 = ephemeral; read the chosen one via
-  /// port()) and starts accepting. Throws std::runtime_error on bind
-  /// failure.
-  TcpServer(DockingService& service, ModelRegistry& registry, std::uint16_t port = 0);
-  ~TcpServer();
-
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  std::uint16_t port() const { return listener_->port(); }
-
-  /// The listener's stop levels (listener.hpp). A SHUTDOWN request calls
-  /// requestStop(), which wakes waitUntilStopped(); the owner then calls
-  /// stop() to join every handler thread. The destructor stops too.
-  void requestStop() { listener_->requestStop(); }
-  bool stopRequested() const { return listener_->stopRequested(); }
-  void waitUntilStopped() { listener_->waitUntilStopped(); }
-  void stop() { listener_->stop(); }
-
-  ServerStats stats() const;
-
- private:
-  void handleConnection(int fd);
-  Message handleRequest(const Message& request);
-  Message handleDock(const Message& request);
-  Message handleScreen(const Message& request);
-  Message handleStatus() const;
-
-  DockingService& service_;
-  ModelRegistry& registry_;
-
-  mutable std::mutex mu_;
-  ServerStats stats_;  ///< connections is read from the listener
-
-  std::optional<LoopbackListener> listener_;  ///< emplaced last in the constructor
-};
 
 /// Retry schedule for connect/request: capped exponential backoff under
 /// an overall deadline. The default (one attempt, no waiting) preserves

@@ -147,7 +147,7 @@ TEST(CliArgsTest, SizeListParsing) {
   const auto sizes = tryParseSizeList("128,64,32");
   ASSERT_TRUE(sizes.has_value());
   EXPECT_EQ(*sizes, (std::vector<std::size_t>{128, 64, 32}));
-  EXPECT_EQ(tryParseSizeList("128,abc"), std::nullopt);  // the docking_server crash
+  EXPECT_EQ(tryParseSizeList("128,abc"), std::nullopt);  // a bad --hidden once crashed a server
   EXPECT_EQ(tryParseSizeList("128,-4"), std::nullopt);
   EXPECT_EQ(tryParseSizeList("0"), std::nullopt);        // zero-width layer
   EXPECT_THROW(parseSizeList("128,abc", "hidden"), CliError);

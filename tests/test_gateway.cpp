@@ -1,7 +1,7 @@
 // End-to-end HTTP gateway tests over real loopback sockets: two
 // registered models behind one gateway, JSON dock results bit-identical
-// to direct DockingService calls on the routed model (the PR's
-// acceptance criterion), the 4xx error contract, stats/discovery
+// to direct DockingService calls on the routed model, publishing a
+// checkpoint onto one model, the 4xx error contract, stats/discovery
 // endpoints, and hostile-peer behaviour — garbage bytes, mid-body
 // hangup, and an RST before the reply (the SIGPIPE regression) must
 // never take the server down. Neither may thousands of closed
@@ -20,7 +20,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -31,6 +33,7 @@
 #include "src/chem/synthetic.hpp"
 #include "src/common/rng.hpp"
 #include "src/gateway/gateway.hpp"
+#include "src/rl/checkpoint.hpp"
 
 namespace dqndock::gateway {
 namespace {
@@ -176,6 +179,18 @@ class GatewayFixture : public ::testing::Test {
     return pred();
   }
 
+  /// Writes a checkpoint of a fresh network with the given hidden layers
+  /// to a file private to this process; returns its path.
+  std::string writeCheckpoint(const std::string& stem, std::vector<std::size_t> hidden) const {
+    Rng rng(99);
+    rl::MlpQNetwork net(scenario_.ligand.atomCount() * 3, std::move(hidden), 12, rng);
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              (stem + "_" + std::to_string(::getpid()) + ".bin"))
+                                 .string();
+    rl::saveWeightsFile(path, net);
+    return path;
+  }
+
   chem::Scenario scenario_;
   std::vector<std::unique_ptr<serve::ModelRegistry>> registries_;
   std::vector<std::unique_ptr<serve::DockingService>> services_;
@@ -293,9 +308,72 @@ TEST_F(GatewayFixture, ErrorContract) {
   // No route -> 404.
   conn.get("/v2/anything");
   EXPECT_EQ(conn.readResponse().status, 404);
+  // Wrong method on publish -> 405; publish on an unknown model -> 404.
+  conn.get("/v1/models/alpha/publish");
+  EXPECT_EQ(conn.readResponse().status, 405);
+  conn.post("/v1/models/gamma/publish", R"({"path":"/nonexistent/w.bin"})");
+  EXPECT_EQ(conn.readResponse().status, 404);
   // All of it on ONE keep-alive connection, which still works:
   conn.get("/v1/healthz");
   EXPECT_EQ(conn.readResponse().status, 200);
+}
+
+/// The same gateway on loopback; its suite holds the requests that route
+/// fine but that the service refuses, apart from the routing contract.
+class LoopbackFixture : public GatewayFixture {};
+
+TEST_F(LoopbackFixture, BadRequestsComeBackAsErrors) {
+  HttpConn conn(port());
+  // Publish without a usable path -> 400.
+  for (const char* body : {"{}", R"({"path":5})", R"({"path":""})"}) {
+    conn.post("/v1/models/alpha/publish", body);
+    EXPECT_EQ(conn.readResponse().status, 400) << body;
+  }
+  // A checkpoint the registry will not publish -> 422 with its reason.
+  conn.post("/v1/models/alpha/publish", R"({"path":"/nonexistent/w.bin"})");
+  HttpResponse refused = conn.readResponse();
+  EXPECT_EQ(refused.status, 422);
+  EXPECT_NE(refused.body.find("cannot open"), std::string::npos) << refused.body;
+  const std::string otherShape = writeCheckpoint("dqndock_gateway_other_shape", {8});
+  conn.post("/v1/models/alpha/publish", R"({"path":")" + otherShape + R"("})");
+  refused = conn.readResponse();
+  EXPECT_EQ(refused.status, 422);
+  EXPECT_NE(refused.body.find("shape mismatch"), std::string::npos) << refused.body;
+  std::remove(otherShape.c_str());
+  // No refused publish swapped a model,
+  EXPECT_EQ(registries_[0]->currentVersion(), 1u);
+  EXPECT_EQ(registries_[1]->currentVersion(), 1u);
+  // and the connection survives all of it.
+  conn.get("/v1/healthz");
+  EXPECT_EQ(conn.readResponse().status, 200);
+}
+
+TEST_F(GatewayFixture, PublishHotSwapsTheNamedModel) {
+  // Same architecture as alpha, other weights.
+  const std::string path = writeCheckpoint("dqndock_gateway_publish", {16});
+  HttpConn conn(port());
+  conn.post("/v1/models/alpha/publish", R"({"path":")" + path + R"("})");
+  const HttpResponse published = conn.readResponse();
+  std::remove(path.c_str());
+  ASSERT_EQ(published.status, 200) << published.body;
+  const JsonValue doc = jsonParse(published.body);
+  EXPECT_EQ(doc.find("model")->asString(), "alpha");
+  EXPECT_EQ(doc.find("model_version")->asNumber(), 2.0);
+
+  // The next alpha dock runs on the new version.
+  conn.post("/v1/models/alpha/dock", R"({"max_steps":3})");
+  const HttpResponse docked = conn.readResponse();
+  ASSERT_EQ(docked.status, 200) << docked.body;
+  EXPECT_EQ(jsonParse(docked.body).find("model_version")->asNumber(), 2.0);
+
+  // beta is untouched.
+  conn.get("/v1/models");
+  const JsonValue models = jsonParse(conn.readResponse().body);
+  const auto& list = models.find("models")->items();
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list[0].find("model_version")->asNumber(), 2.0);
+  EXPECT_EQ(list[1].find("name")->asString(), "beta");
+  EXPECT_EQ(list[1].find("model_version")->asNumber(), 1.0);
 }
 
 TEST_F(GatewayFixture, StatsReflectPerModelTraffic) {
@@ -447,6 +525,12 @@ TEST_F(GatewayFixture, ClosedConnectionsReleaseTheirThreads) {
   EXPECT_EQ(gateway_->stats().connections, 2016u);
 }
 
+/// Threads in this process: the entries of /proc/self/task.
+std::size_t threadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
 /// Lowers this process's soft fd limit and fills every free slot, so the
 /// next fd anyone asks for fails with EMFILE. The destructor closes the
 /// fillers and restores the limit.
@@ -494,13 +578,16 @@ TEST_F(GatewayFixture, AcceptSurvivesFdExhaustion) {
   // once the fds are back, the next client is served.
   // One request runs before the table fills, so first-time work that
   // needs an fd of its own is done (UBSan's dynamic-type check opens a
-  // pipe on a cache miss).
+  // pipe on a cache miss). That includes the first handler thread's
+  // exit, so the table fills only once the warm-up's handler is gone.
   const std::uint16_t gatewayPort = port();
+  const std::size_t threadsBefore = threadCount();
   {
     HttpConn warmup(gatewayPort);
     warmup.get("/v1/healthz");
     ASSERT_EQ(warmup.readResponse().status, 200);
   }
+  ASSERT_TRUE(waitFor([&] { return threadCount() <= threadsBefore; }));
   FdExhaustion fds;
   ASSERT_TRUE(fds.exhausted());
   fds.freeOneSlot();

@@ -1,23 +1,25 @@
-// SIGPIPE regression tests (ISSUE satellite): a client that hangs up
-// after sending a request — FIN or RST — must never kill the server.
-// Before the fix, the server's reply write could raise SIGPIPE
-// (default action: process death) on the ::write fallback path, and
-// EPIPE surfaced as a generic transport error instead of the clean
-// peer-hangup path. These tests run under the ASan/UBSan CI matrix.
+// SIGPIPE regression tests: a client that hangs up after sending a
+// request — FIN or RST — must never kill the server. Before the fix, the
+// server's reply write could raise SIGPIPE (default action: process
+// death) on the ::write fallback path, and EPIPE surfaced as a generic
+// transport error instead of the clean peer-hangup path. These tests run
+// under the ASan/UBSan CI matrix.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <memory>
-#include <thread>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+#include <string>
 
-#include "src/chem/synthetic.hpp"
-#include "src/common/rng.hpp"
+#include "src/serve/listener.hpp"
 #include "src/serve/tcp.hpp"
 #include "src/serve/wire.hpp"
 
@@ -70,97 +72,133 @@ TEST(SigpipeHardeningTest, WriteToResetSocketThrowsPeerClosedError) {
   ::close(pair[1]);
 }
 
-/// Serving stack on loopback, mirroring test_serve_wire's fixture.
+/// A bare LoopbackListener under a wire handler that answers every
+/// request with OK, the way the screen coordinator answers lease
+/// messages. A HOLD request is answered only after the test has closed
+/// the peer: the handler reports that it has read the request, waits for
+/// the test's go, then replies until a send throws and records what threw.
 class HangupFixture : public ::testing::Test {
  protected:
-  HangupFixture() : scenario_(chem::buildScenario(chem::ScenarioSpec::tiny())) {
-    Rng rng(2024);
-    const std::size_t dim = scenario_.ligand.atomCount() * 3;
-    registry_ = std::make_unique<ModelRegistry>(
-        std::make_unique<rl::MlpQNetwork>(dim, std::vector<std::size_t>{16}, 12, rng));
-    ServiceOptions opts;
-    opts.workers = 2;
-    opts.queueCapacity = 8;
-    opts.batcher.flushDeadline = std::chrono::microseconds(50);
-    service_ = std::make_unique<DockingService>(scenario_, *registry_, opts);
-    server_ = std::make_unique<TcpServer>(*service_, *registry_);
-  }
+  enum class Phase { kIdle, kRequestRead, kPeerClosed };
+
+  HangupFixture() { listener_.emplace("hangup-test", 0, [this](int fd) { handle(fd); }); }
 
   ~HangupFixture() override {
-    server_->stop();
-    service_->shutdown();
+    // A test that failed midway must not leave a handler waiting for its go.
+    setPhase(Phase::kPeerClosed);
   }
 
-  bool waitForHangupStat() const {
-    for (int i = 0; i < 400 && server_->stats().peerHangups == 0; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::uint16_t port() const { return listener_->port(); }
+
+  /// Sends HOLD on a raw connection, closes it with RST (`reset`) or FIN
+  /// once the handler has read the request, then lets the handler reply.
+  /// Returns what the handler's send threw.
+  std::string replyAfterPeerCloses(bool reset) {
+    const int fd = connectLoopback(port());
+    sendMessage(fd, Message{"HOLD", {}});
+    if (!waitForPhase(Phase::kRequestRead)) {
+      ::close(fd);
+      return "handler never read the request";
     }
-    return server_->stats().peerHangups > 0;
+    if (reset) {
+      abortiveClose(fd);
+    } else {
+      ::close(fd);
+    }
+    setPhase(Phase::kPeerClosed);
+    if (!waitForPhase(Phase::kIdle)) return "handler never replied";
+    return thrown_;
   }
 
-  chem::Scenario scenario_;
-  std::unique_ptr<ModelRegistry> registry_;
-  std::unique_ptr<DockingService> service_;
-  std::unique_ptr<TcpServer> server_;
+  /// A fresh client is answered.
+  bool answersNewClient() {
+    TcpClient client(port());
+    return client.request(Message{"PING", {}}).type == "OK";
+  }
+
+ private:
+  void handle(int fd) {
+    Message request;
+    try {
+      while (recvMessage(fd, request)) {
+        if (request.type == "HOLD") break;
+        sendMessage(fd, Message::ok());
+      }
+    } catch (const std::exception&) {
+      return;
+    }
+    if (request.type != "HOLD") return;
+    setPhase(Phase::kRequestRead);
+    waitForPhase(Phase::kPeerClosed);
+    const std::string thrown = replyUntilSendThrows(fd);
+    std::lock_guard lock(mu_);
+    thrown_ = thrown;
+    phase_ = Phase::kIdle;
+    cv_.notify_all();
+  }
+
+  /// A FIN-closed peer may take the first reply into its buffer. It
+  /// answers with an RST; poll() with no events waits for that RST
+  /// (POLLERR/POLLHUP), so the second send meets it.
+  static std::string replyUntilSendThrows(int fd) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        sendMessage(fd, Message::ok());
+      } catch (const PeerClosedError&) {
+        return "PeerClosedError";
+      } catch (const ProtocolError&) {
+        return "ProtocolError";
+      } catch (const std::exception& e) {
+        return std::string("other error: ") + e.what();
+      }
+      pollfd reset{fd, 0, 0};
+      ::poll(&reset, 1, 10000);
+    }
+    return "no send threw";
+  }
+
+  void setPhase(Phase phase) {
+    std::lock_guard lock(mu_);
+    phase_ = phase;
+    cv_.notify_all();
+  }
+
+  /// False when `phase` is not reached within 10 s: the test then fails
+  /// instead of hanging.
+  bool waitForPhase(Phase phase) {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10), [&] { return phase_ == phase; });
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Phase phase_ = Phase::kIdle;
+  std::string thrown_;  ///< what the held reply's send threw
+
+  std::optional<LoopbackListener> listener_;  ///< emplaced last, destroyed first
 };
 
-TEST_F(HangupFixture, ClientRstAfterDockRequestDoesNotKillServer) {
-  // The regression scenario: send a DOCK (long enough that the reply is
-  // still pending when the RST arrives), then vanish. The server's
-  // sendMessage hits EPIPE/ECONNRESET; it must count a peer hangup and
-  // keep serving — not die of SIGPIPE, not log a protocol error.
-  {
-    const int fd = connectLoopback(server_->port());
-    Message dock{"DOCK", {}};
-    dock.set("max_steps", 60L).set("seed", 9L);
-    sendMessage(fd, dock);
-    abortiveClose(fd);
-  }
-  EXPECT_TRUE(waitForHangupStat());
-  EXPECT_EQ(server_->stats().peerHangups, 1u);
-
-  // The follow-up exchange proves the listener and workers survived.
-  TcpClient client(server_->port());
-  EXPECT_EQ(client.request(Message{"PING", {}}).type, "OK");
-  Message dock{"DOCK", {}};
-  dock.set("max_steps", 3L);
-  EXPECT_EQ(client.request(dock).type, "OK");
+TEST_F(HangupFixture, ClientRstBeforeReplyDoesNotKillServer) {
+  // The regression scenario: the peer sends a request and vanishes with
+  // an RST before the reply. The handler's send must fail with
+  // PeerClosedError (EPIPE/ECONNRESET): not a protocol error, and no
+  // SIGPIPE, which would kill this whole test binary.
+  EXPECT_EQ(replyAfterPeerCloses(/*reset=*/true), "PeerClosedError");
+  EXPECT_TRUE(answersNewClient());
 }
 
 TEST_F(HangupFixture, FinAfterRequestIsAHangupNotAProtocolError) {
-  // Orderly FIN (plain close) right after the request: by the time the
-  // reply is computed the peer may be gone. Depending on timing the
-  // write either succeeds into the kernel buffer or fails with EPIPE —
-  // both must leave the server healthy, and a failure must not count
-  // as malformed-peer "protocol error".
-  {
-    const int fd = connectLoopback(server_->port());
-    Message dock{"DOCK", {}};
-    dock.set("max_steps", 40L).set("seed", 4L);
-    sendMessage(fd, dock);
-    ::close(fd);
-  }
-  // Give the handler time to finish the dock and attempt the reply.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(server_->stats().protocolErrors, 0u);
-
-  TcpClient client(server_->port());
-  EXPECT_EQ(client.request(Message{"PING", {}}).type, "OK");
+  // An orderly close right after the request: the reply that follows
+  // fails as a peer hangup, never as a malformed peer.
+  EXPECT_EQ(replyAfterPeerCloses(/*reset=*/false), "PeerClosedError");
+  EXPECT_TRUE(answersNewClient());
 }
 
 TEST_F(HangupFixture, ManyAbortingClientsLeaveServerServing) {
-  // A small storm of rude clients: every reply write races an RST.
   for (int round = 0; round < 8; ++round) {
-    const int fd = connectLoopback(server_->port());
-    Message dock{"DOCK", {}};
-    dock.set("max_steps", 25L).set("seed", static_cast<long>(round));
-    sendMessage(fd, dock);
-    abortiveClose(fd);
+    EXPECT_EQ(replyAfterPeerCloses(/*reset=*/true), "PeerClosedError") << "round " << round;
   }
-  TcpClient client(server_->port());
-  EXPECT_EQ(client.request(Message{"PING", {}}).type, "OK");
-  const Message status = client.request(Message{"STATUS", {}});
-  ASSERT_EQ(status.type, "OK");
+  EXPECT_TRUE(answersNewClient());
 }
 
 }  // namespace

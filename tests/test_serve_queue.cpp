@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 #include "src/chem/synthetic.hpp"
@@ -110,6 +111,33 @@ TEST(JobQueueTest, WorkExceptionBecomesFailedStatus) {
 }
 
 // ---------------------------------------------------------------------------
+
+/// Delegates to `inner`, except that predict() first waits until `ready`
+/// holds. A predict runs inside a batch, so a rollout held there keeps
+/// that batch in flight while another worker takes a job.
+class GatedNet : public rl::QNetwork {
+ public:
+  explicit GatedNet(std::unique_ptr<rl::QNetwork> inner) : inner_(std::move(inner)) {}
+
+  std::function<bool()> ready;  ///< set before the first job is submitted
+
+  std::size_t inputDim() const override { return inner_->inputDim(); }
+  int actionCount() const override { return inner_->actionCount(); }
+  const nn::Tensor& forward(const nn::Tensor& states) override { return inner_->forward(states); }
+  void predict(const nn::Tensor& states, nn::Tensor& q) const override {
+    while (ready && !ready()) std::this_thread::yield();
+    inner_->predict(states, q);
+  }
+  void backward(const nn::Tensor& dq) override { inner_->backward(dq); }
+  void zeroGrad() override { inner_->zeroGrad(); }
+  std::vector<nn::Tensor*> parameters() override { return inner_->parameters(); }
+  std::vector<nn::Tensor*> gradients() override { return inner_->gradients(); }
+  std::unique_ptr<rl::QNetwork> clone() const override { return inner_->clone(); }
+  void copyWeightsFrom(const rl::QNetwork& other) override { inner_->copyWeightsFrom(other); }
+
+ private:
+  std::unique_ptr<rl::QNetwork> inner_;
+};
 
 class ServiceFixture : public ::testing::Test {
  protected:
@@ -225,43 +253,58 @@ TEST_F(ServiceFixture, ManyConcurrentDocksAllComplete) {
 }
 
 TEST_F(ServiceFixture, ServedDocksEqualAReferenceRolloutBitForBit) {
-  auto registry = makeRegistry();
+  auto gated = std::make_unique<GatedNet>(makeNet());
+  GatedNet& gate = *gated;
+  ModelRegistry registry(std::move(gated));
   const auto net = makeNet();
   ServiceOptions opts = fastOptions(2, 16);
   // Rows wait for each other: two docks in flight share 2-row batches,
   // and a step that waited out the deadline would show in the stats.
   opts.batcher.flushDeadline = std::chrono::seconds(1);
   ThreadPool pool(4);
-  DockingService service(scenario_, *registry, opts, &pool);
+  DockingService service(scenario_, registry, opts, &pool);
   ASSERT_FALSE(service.foldActive());  // the reference encodes the full state
+  // A freshly started worker can wake after the other has served a whole
+  // round alone. So each round's first forward waits until both workers
+  // have taken a job of the round, and rounds repeat until two rollouts
+  // have shared a batch.
+  std::atomic<std::uint64_t> roundStart{0};
+  gate.ready = [&] { return service.stats().queue.popped >= roundStart + 2; };
 
   std::vector<DockRequest> requests;
-  std::vector<std::uint64_t> ids;
+  std::vector<DockResult> expected;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     DockRequest request;
     request.maxSteps = 40;
     request.epsilon = 0.25;
     request.seed = seed;
-    const SubmitResult submitted = service.submitDock(request);
-    ASSERT_TRUE(submitted.accepted());
     requests.push_back(request);
-    ids.push_back(submitted.jobId);
+    expected.push_back(referenceDock(opts, *net, request));
+    EXPECT_GT(expected.back().steps, 0u);
   }
   const auto sameBits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const JobOutcome outcome = service.wait(ids[i]);
-    ASSERT_EQ(outcome.status, JobStatus::kDone) << outcome.error;
-    const DockResult& served = outcome.dock;
-    const DockResult expected = referenceDock(opts, *net, requests[i]);
-    SCOPED_TRACE("seed " + std::to_string(requests[i].seed));
-    EXPECT_GT(expected.steps, 0u);
-    EXPECT_EQ(served.steps, expected.steps);
-    EXPECT_EQ(served.termination, expected.termination);
-    EXPECT_EQ(served.modelVersion, 1u);
-    EXPECT_TRUE(sameBits(served.initialScore, expected.initialScore));
-    EXPECT_TRUE(sameBits(served.bestScore, expected.bestScore));
-    EXPECT_TRUE(sameBits(served.finalScore, expected.finalScore));
-    EXPECT_TRUE(sameBits(served.bestRmsd, expected.bestRmsd));
+  for (int round = 0; round < 20 && service.stats().batcher.maxBatchRows < 2; ++round) {
+    roundStart = service.stats().queue.popped;
+    std::vector<std::uint64_t> ids;
+    for (const DockRequest& request : requests) {
+      const SubmitResult submitted = service.submitDock(request);
+      ASSERT_TRUE(submitted.accepted());
+      ids.push_back(submitted.jobId);
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const JobOutcome outcome = service.wait(ids[i]);
+      ASSERT_EQ(outcome.status, JobStatus::kDone) << outcome.error;
+      const DockResult& served = outcome.dock;
+      SCOPED_TRACE("round " + std::to_string(round) + ", seed " +
+                   std::to_string(requests[i].seed));
+      EXPECT_EQ(served.steps, expected[i].steps);
+      EXPECT_EQ(served.termination, expected[i].termination);
+      EXPECT_EQ(served.modelVersion, 1u);
+      EXPECT_TRUE(sameBits(served.initialScore, expected[i].initialScore));
+      EXPECT_TRUE(sameBits(served.bestScore, expected[i].bestScore));
+      EXPECT_TRUE(sameBits(served.finalScore, expected[i].finalScore));
+      EXPECT_TRUE(sameBits(served.bestRmsd, expected[i].bestRmsd));
+    }
   }
   const BatcherStats batcher = service.stats().batcher;
   EXPECT_EQ(batcher.maxBatchRows, 2u);

@@ -1,7 +1,7 @@
 // Wire protocol tests: message encode/decode round-trips, framed I/O
-// over a pipe (EOF vs truncation vs oversize), and the full loopback
-// integration — a TcpClient docking through a TcpServer backed by a real
-// DockingService, ending in a graceful SHUTDOWN.
+// over a pipe (EOF vs truncation vs oversize), framed exchanges between a
+// TcpClient and a wire handler over LoopbackListener, and the client's
+// close-on-failure rule against misbehaving raw servers.
 
 #include <gtest/gtest.h>
 
@@ -10,16 +10,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <thread>
 
-#include "src/chem/synthetic.hpp"
-#include "src/common/rng.hpp"
-#include "src/rl/checkpoint.hpp"
+#include "src/serve/listener.hpp"
 #include "src/serve/tcp.hpp"
 #include "src/serve/wire.hpp"
 
@@ -150,139 +145,27 @@ TEST_F(PipeFixture, SendRecvMessageOverPipe) {
 
 // ---------------------------------------------------------------------------
 
-/// Full stack on loopback: scenario -> registry -> service -> TCP.
-class LoopbackFixture : public ::testing::Test {
- protected:
-  LoopbackFixture() : scenario_(chem::buildScenario(chem::ScenarioSpec::tiny())) {
-    Rng rng(2024);
-    const std::size_t dim = scenario_.ligand.atomCount() * 3;
-    registry_ = std::make_unique<ModelRegistry>(
-        std::make_unique<rl::MlpQNetwork>(dim, std::vector<std::size_t>{16}, 12, rng));
-    ServiceOptions opts;
-    opts.workers = 2;
-    opts.queueCapacity = 8;
-    opts.batcher.flushDeadline = std::chrono::microseconds(50);
-    service_ = std::make_unique<DockingService>(scenario_, *registry_, opts);
-    server_ = std::make_unique<TcpServer>(*service_, *registry_);
-  }
-
-  ~LoopbackFixture() override {
-    server_->stop();
-    service_->shutdown();
-  }
-
-  chem::Scenario scenario_;
-  std::unique_ptr<ModelRegistry> registry_;
-  std::unique_ptr<DockingService> service_;
-  std::unique_ptr<TcpServer> server_;
-};
-
-TEST_F(LoopbackFixture, PingAndStatus) {
-  TcpClient client(server_->port());
-  EXPECT_EQ(client.request(Message{"PING", {}}).type, "OK");
-
-  const Message status = client.request(Message{"STATUS", {}});
-  ASSERT_EQ(status.type, "OK");
-  EXPECT_EQ(status.getInt("workers", 0), 2);
-  EXPECT_EQ(status.getInt("queue_capacity", 0), 8);
-  EXPECT_EQ(status.getInt("model_version", 0), 1);
-}
-
-TEST_F(LoopbackFixture, BackToBackPingsDoNotWaitForDelayedAcks) {
-  // One request/reply after another on one connection. Were a frame's
-  // prefix and payload sent apart, each payload would sit in Nagle's
-  // buffer until the peer's delayed ACK (tens of ms per exchange once
-  // the connection leaves quick-ACK mode); one send per frame keeps an
+TEST(WireListenerTest, BackToBackPingsDoNotWaitForDelayedAcks) {
+  // One request/reply after another on one connection, answered the way
+  // the screen coordinator answers lease messages. Were a frame's prefix
+  // and payload sent apart, each payload would sit in Nagle's buffer
+  // until the peer's delayed ACK (tens of ms per exchange once the
+  // connection leaves quick-ACK mode); one send per frame keeps an
   // exchange at loopback round-trip cost.
-  TcpClient client(server_->port());
+  LoopbackListener listener("wire-test", 0, [](int fd) {
+    Message request;
+    try {
+      while (recvMessage(fd, request)) sendMessage(fd, Message::ok());
+    } catch (const std::exception&) {
+    }
+  });
+  TcpClient client(listener.port());
   for (int i = 0; i < 5; ++i) ASSERT_EQ(client.request(Message{"PING", {}}).type, "OK");
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 20; ++i) ASSERT_EQ(client.request(Message{"PING", {}}).type, "OK");
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_LT(seconds, 0.5);
-}
-
-TEST_F(LoopbackFixture, FullDockOverTcp) {
-  TcpClient client(server_->port());
-  Message dock{"DOCK", {}};
-  dock.set("max_steps", 6L).set("seed", 3L).set("priority", "high");
-  const Message reply = client.request(dock);
-  ASSERT_EQ(reply.type, "OK") << reply.get("error");
-  EXPECT_EQ(reply.get("status"), "done");
-  EXPECT_GE(reply.getInt("steps", -1), 1);
-  EXPECT_LE(reply.getInt("steps", 99), 6);
-  EXPECT_EQ(reply.getInt("model_version", 0), 1);
-  EXPECT_GE(reply.getDouble("best_score", -1e300), reply.getDouble("final_score", 1e300));
-  EXPECT_FALSE(reply.get("termination").empty());
-  EXPECT_TRUE(reply.has("best_rmsd"));
-}
-
-TEST_F(LoopbackFixture, ScreenOverTcp) {
-  TcpClient client(server_->port());
-  Message screen{"SCREEN", {}};
-  screen.set("library_size", 2L).set("min_atoms", 6L).set("max_atoms", 8L).set("evals", 40L);
-  const Message reply = client.request(screen);
-  ASSERT_EQ(reply.type, "OK") << reply.get("error");
-  EXPECT_EQ(reply.getInt("ligands", 0), 2);
-  EXPECT_FALSE(reply.get("best_ligand").empty());
-  EXPECT_GT(reply.getInt("evaluations", 0), 0);
-}
-
-TEST_F(LoopbackFixture, ConcurrentClientsShareTheService) {
-  constexpr int kClients = 4;
-  std::vector<std::thread> threads;
-  std::atomic<int> okCount{0};
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      TcpClient client(server_->port());
-      Message dock{"DOCK", {}};
-      dock.set("max_steps", 4L).set("seed", static_cast<long>(c + 1));
-      if (client.request(dock).type == "OK") okCount.fetch_add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(okCount.load(), kClients);
-  EXPECT_GE(server_->stats().connections, static_cast<std::uint64_t>(kClients));
-}
-
-TEST_F(LoopbackFixture, PublishHotSwapsTheServedModel) {
-  // Write a matching-architecture checkpoint with different weights.
-  Rng rng(777);
-  const std::size_t dim = scenario_.ligand.atomCount() * 3;
-  rl::MlpQNetwork retrained(dim, std::vector<std::size_t>{16}, 12, rng);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "dqndock_publish_test.bin").string();
-  rl::saveWeightsFile(path, retrained);
-
-  TcpClient client(server_->port());
-  Message publish{"PUBLISH", {}};
-  publish.set("path", path);
-  const Message reply = client.request(publish);
-  ASSERT_EQ(reply.type, "OK") << reply.get("error");
-  EXPECT_EQ(reply.getInt("model_version", 0), 2);
-
-  // A dock after the swap reports the new version.
-  Message dock{"DOCK", {}};
-  dock.set("max_steps", 3L);
-  EXPECT_EQ(client.request(dock).getInt("model_version", 0), 2);
-  std::remove(path.c_str());
-}
-
-TEST_F(LoopbackFixture, BadRequestsComeBackAsErrors) {
-  TcpClient client(server_->port());
-  const Message unknown = client.request(Message{"FROBNICATE", {}});
-  EXPECT_EQ(unknown.type, "ERROR");
-  EXPECT_NE(unknown.get("reason").find("unknown request type"), std::string::npos);
-
-  Message publish{"PUBLISH", {}};
-  EXPECT_EQ(client.request(publish).type, "ERROR");  // missing path=
-  publish.set("path", "/nonexistent/weights.bin");
-  EXPECT_EQ(client.request(publish).type, "ERROR");  // unreadable path
-  EXPECT_EQ(registry_->currentVersion(), 1u);        // nothing swapped
-
-  // The connection survives all of it.
-  EXPECT_EQ(client.request(Message{"PING", {}}).type, "OK");
 }
 
 /// Minimal raw loopback listener for simulating a misbehaving server.
@@ -360,48 +243,6 @@ TEST(TcpClientFramingTest, CleanServerHangupAlsoClosesClient) {
   EXPECT_THROW(client.request(Message{"PING", {}}), std::runtime_error);
   server.join();
   EXPECT_THROW(client.request(Message{"PING", {}}), std::runtime_error);
-}
-
-TEST_F(LoopbackFixture, ProtocolErrorStatCountsGarbageNotCleanHangup) {
-  // A well-behaved client that connects, pings, and disconnects cleanly
-  // must not count as a protocol error.
-  {
-    TcpClient client(server_->port());
-    ASSERT_EQ(client.request(Message{"PING", {}}).type, "OK");
-  }
-  // A raw peer that sends a truncated frame and hangs up must.
-  {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server_->port());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-    const unsigned char partial[3] = {0, 0, 0};
-    ASSERT_EQ(::write(fd, partial, 3), 3);
-    ::close(fd);
-  }
-  // The handler thread processes the hangup asynchronously.
-  for (int i = 0; i < 200 && server_->stats().protocolErrors == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(server_->stats().protocolErrors, 1u);
-}
-
-TEST_F(LoopbackFixture, ShutdownRequestStopsTheServerGracefully) {
-  {
-    TcpClient client(server_->port());
-    Message dock{"DOCK", {}};
-    dock.set("max_steps", 3L);
-    ASSERT_EQ(client.request(dock).type, "OK");
-    EXPECT_EQ(client.request(Message{"SHUTDOWN", {}}).type, "OK");
-  }
-  server_->waitUntilStopped();
-  server_->stop();  // joins handlers; idempotent with the fixture dtor
-  EXPECT_TRUE(server_->stopRequested());
-  // New connections are refused once the listener is gone.
-  EXPECT_THROW(TcpClient(server_->port()), std::runtime_error);
 }
 
 }  // namespace
