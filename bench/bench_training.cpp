@@ -160,6 +160,11 @@ int main(int argc, char** argv) {
   // collect speedup survives end to end. Both rows run the same episode
   // quota (32 x learn-max-steps transitions) so the learn-call counts
   // match and the comparison is apples to apples.
+  // Pool workers that sat idle for a while can wake slowly on a shared
+  // VM, and a pooled optimizer step then runs near serial speed for about
+  // a second: one discarded learn pass warms them before the timed rows.
+  runMode("learn-warmup", scenario,
+          benchConfig(0, 32, learnMaxSteps, seed, replayCapacity, true), &pool);
   ModeResult learnSeq = runMode(
       "learn-sequential", scenario,
       benchConfig(0, 32, learnMaxSteps, seed, replayCapacity, true), &pool);

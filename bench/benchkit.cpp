@@ -100,7 +100,10 @@ struct RunResult {
 /// the timed region covers --benchmark_min_time; reports the final run.
 RunResult runOne(internal::Benchmark* bench, const std::vector<std::int64_t>& args) {
   std::string name = bench->name();
-  for (const std::int64_t a : args) name += "/" + std::to_string(a);
+  for (const std::int64_t a : args) {
+    name += '/';
+    name += std::to_string(a);
+  }
   if (bench->useRealTime()) name += "/real_time";
 
   std::size_t iterations = 1;
@@ -255,7 +258,10 @@ std::size_t RunSpecifiedBenchmarks() {
   for (internal::Benchmark* bench : registry()) {
     for (const std::vector<std::int64_t>& args : bench->runs()) {
       std::string fullName = bench->name();
-      for (const std::int64_t a : args) fullName += "/" + std::to_string(a);
+      for (const std::int64_t a : args) {
+        fullName += '/';
+        fullName += std::to_string(a);
+      }
       if (!std::regex_search(fullName, filter)) continue;
       results.push_back(runOne(bench, args));
     }

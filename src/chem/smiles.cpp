@@ -38,7 +38,8 @@ ParsedAtom parseBracket(std::string_view body, std::size_t pos) {
   ++i;
   if (i < body.size() && std::islower(static_cast<unsigned char>(body[i]))) {
     // Try two-letter symbol first; fall back to one letter (aromatic 'c').
-    const std::string two = symbol + std::string(1, body[i]);
+    std::string two = symbol;
+    two += body[i];
     if (elementFromSymbol(two) != Element::Unknown) {
       symbol = two;
       ++i;

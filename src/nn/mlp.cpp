@@ -1,5 +1,6 @@
 #include "src/nn/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -28,10 +29,7 @@ DenseLayer::DenseLayer(const DenseLayer& other)
       gradW_(other.gradW_),
       gradB_(other.gradB_),
       version_(other.version_) {
-  if (other.fold_) {
-    fold_ = std::make_unique<Fold>();
-    fold_->staticPrefix = other.fold_->staticPrefix;
-  }
+  if (other.fold_) fold_ = std::make_unique<Fold>(other.fold_->staticPrefix, outDim());
 }
 
 DenseLayer& DenseLayer::operator=(const DenseLayer& other) {
@@ -42,8 +40,7 @@ DenseLayer& DenseLayer::operator=(const DenseLayer& other) {
   gradB_ = other.gradB_;
   version_ = other.version_ + 1;  // contents changed relative to our old cache
   if (other.fold_) {
-    fold_ = std::make_unique<Fold>();
-    fold_->staticPrefix = other.fold_->staticPrefix;
+    fold_ = std::make_unique<Fold>(other.fold_->staticPrefix, outDim());
   } else {
     fold_.reset();
   }
@@ -106,8 +103,7 @@ void DenseLayer::configureStaticPrefix(std::vector<double> staticPrefix) {
   if (s == 0 || s >= inDim()) {
     throw std::invalid_argument("DenseLayer::configureStaticPrefix: need 0 < S < inDim");
   }
-  fold_ = std::make_unique<Fold>();
-  fold_->staticPrefix = std::move(staticPrefix);
+  fold_ = std::make_unique<Fold>(std::move(staticPrefix), outDim());
   // Packed gradient: only the dynamic columns are materialised; the
   // static-column gradient is biasGrad ⊗ staticPrefix by construction.
   gradW_ = Tensor(outDim(), inDim() - s);
@@ -129,28 +125,6 @@ const Tensor& DenseLayer::foldedBias() const {
   return fold_->c;
 }
 
-namespace {
-/// Rows per pass of the refold's static-prefix dot products.
-constexpr std::size_t kRefoldRows = 8;
-
-/// c[k] = sum_j w[k][j] * xs[j] + b[k] for N consecutive rows (row k at
-/// w + k * stride) in one pass over xs. Each row keeps its own
-/// accumulator summed in j order, so every c[k] is bitwise the serial
-/// one-row dot; the rows only share the xs loads and overlap their add
-/// latencies.
-template <std::size_t N>
-void foldRows(const double* w, std::size_t stride, const double* xs, std::size_t s,
-              const double* b, double* c) {
-  double acc[N] = {};
-  for (std::size_t j = 0; j < s; ++j) {
-    const double x = xs[j];
-#pragma GCC unroll 8
-    for (std::size_t k = 0; k < N; ++k) acc[k] += w[k * stride + j] * x;
-  }
-  for (std::size_t k = 0; k < N; ++k) c[k] = acc[k] + b[k];
-}
-}  // namespace
-
 void DenseLayer::refold() const {
   Fold& f = *fold_;
   const std::uint64_t v = version_;
@@ -161,23 +135,25 @@ void DenseLayer::refold() const {
   const std::size_t s = f.staticPrefix.size();
   const std::size_t d = in - s;
   const std::size_t out = outDim();
-  f.wd.resizeOverwrite(out, d);
+  if (!f.dotsCurrent) {
+    // The one sweep over W_s, kDotRows rows per pass over x_s. Each row
+    // sums in j order from 0.0, as the optimizer's fused dot does, so
+    // the dots are bitwise the serial ones whichever of the two made
+    // them, regardless of pool size, kernel tier or row grouping.
+    std::fill(f.dots.begin(), f.dots.end(), 0.0);
+    for (std::size_t r = 0; r < out; r += kDotRows) {
+      accumulateRowDots(weights_.data() + r * in, std::min(kDotRows, out - r), in,
+                        f.staticPrefix.data(), s, f.dots.data() + r);
+    }
+    f.dotsCurrent = true;
+    f.folds.fetch_add(1, std::memory_order_relaxed);
+  }
   f.c.resizeOverwrite(1, out);
-  const double* xs = f.staticPrefix.data();
-  // Fixed serial accumulation order per row: the refold is
-  // bit-deterministic regardless of pool size, kernel tier or how rows
-  // are grouped into passes.
-  std::size_t r = 0;
-  for (; r + kRefoldRows <= out; r += kRefoldRows) {
-    foldRows<kRefoldRows>(weights_.data() + r * in, in, xs, s, bias_.data() + r, f.c.data() + r);
-  }
-  for (; r < out; ++r) {
-    foldRows<1>(weights_.data() + r * in, in, xs, s, bias_.data() + r, f.c.data() + r);
-  }
-  for (r = 0; r < out; ++r) {
+  for (std::size_t r = 0; r < out; ++r) f.c(0, r) = f.dots[r] + bias_(0, r);
+  f.wd.resizeOverwrite(out, d);
+  for (std::size_t r = 0; r < out; ++r) {
     std::memcpy(f.wd.data() + r * d, weights_.data() + r * in + s, d * sizeof(double));
   }
-  f.folds.fetch_add(1, std::memory_order_relaxed);
   f.cachedVersion.store(v, std::memory_order_release);
 }
 
@@ -193,6 +169,18 @@ void DenseLayer::forwardFolded(const Tensor& xd, Tensor& y, ThreadPool* pool, bo
   epilogue.relu = relu;
   epilogue.reluMask = reluMask;
   gemmABt(xd, fold_->wd, y, pool, epilogue);
+}
+
+FactoredPrefixGrad DenseLayer::factoredGrad(std::size_t paramIndex, ThreadPool* pool) const {
+  if (!fold_) throw std::logic_error("DenseLayer::factoredGrad: folding not configured");
+  FactoredPrefixGrad fg;
+  fg.paramIndex = paramIndex;
+  fg.staticPrefix = fold_->staticPrefix;
+  fg.coeff = &gradB_;
+  fg.pool = pool;
+  fg.rowDots = fold_->dots;
+  fg.rowDotsCurrent = &fold_->dotsCurrent;
+  return fg;
 }
 
 void DenseLayer::backwardFolded(const Tensor& xdCache, const Tensor& dy, ThreadPool* pool) {
@@ -256,13 +244,7 @@ bool Mlp::configureStaticPrefix(std::span<const double> staticPrefix) {
 
 std::optional<FactoredPrefixGrad> Mlp::factoredGrad() const {
   if (!foldActive()) return std::nullopt;
-  const DenseLayer& input = layers_.front();
-  FactoredPrefixGrad fg;
-  fg.paramIndex = 0;  // parameters() order: W0, b0, W1, b1, ...
-  fg.staticPrefix = input.staticPrefix();
-  fg.coeff = &input.biasGrad();
-  fg.pool = pool_;
-  return fg;
+  return layers_.front().factoredGrad(0, pool_);  // parameters() order: W0, b0, W1, b1, ...
 }
 
 namespace {

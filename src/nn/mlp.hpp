@@ -44,6 +44,13 @@ bool foldStaticEnabled();
 /// by a mutex, and published with acquire/release so concurrent const
 /// forwardFolded() callers (parallel collectors, the serve batcher)
 /// fold exactly once per weight version.
+///
+/// The refold keeps the row dots W_s * x_s apart from c. They stay
+/// current until the non-const weights() marks them stale, so a bias()
+/// write costs one add per row. An optimizer step through factoredGrad()
+/// recomputes them from the rows it writes and marks them current, so
+/// the refold after a step skips the W_s sweep too; foldCount() counts
+/// only the refolds that sweep W_s.
 class DenseLayer {
  public:
   DenseLayer(std::size_t inDim, std::size_t outDim);
@@ -82,12 +89,14 @@ class DenseLayer {
 
   /// Non-const parameter access bumps the weight version: every
   /// mutation path in the codebase (optimizer steps via parameters(),
-  /// polyak updates, copyWeightsFrom, checkpoint/serialize restores)
-  /// reaches the tensors through these accessors, so the fold cache
-  /// can never serve stale weights. Spurious bumps (read-only callers
-  /// holding a non-const layer) only cost an extra refold.
+  /// polyak updates, copyWeightsFrom, checkpoint restores) reaches the
+  /// tensors through these accessors, so the fold cache can never serve
+  /// stale weights. weights() also marks the fold's row dots stale.
+  /// Spurious bumps (read-only callers holding a non-const layer) only
+  /// cost an extra refold.
   Tensor& weights() {
     ++version_;
+    if (fold_) fold_->dotsCurrent = false;
     return weights_;
   }
   Tensor& bias() {
@@ -118,8 +127,10 @@ class DenseLayer {
   std::size_t staticLen() const;
   std::size_t dynamicDim() const { return inDim() - staticLen(); }
   std::span<const double> staticPrefix() const;
-  /// Number of fold-cache rebuilds so far (test/bench observability:
-  /// "folds once per weight version").
+  /// Number of refolds that swept W_s so far (test/bench observability:
+  /// "folds once per weight version"). Refolds served from current row
+  /// dots — after a bias() write or a factored optimizer step — are not
+  /// counted.
   std::uint64_t foldCount() const;
   /// The folded bias c = W_s * x_s + b for the current weights (refolds
   /// first when stale). Valid until the next refold.
@@ -132,6 +143,14 @@ class DenseLayer {
   void forwardFolded(const Tensor& xd, Tensor& y, ThreadPool* pool, bool relu = false,
                      Tensor* reluMask = nullptr) const;
 
+  /// Descriptor of this layer's rank-1 weight gradient for an optimizer
+  /// step whose parameter list holds the weights at `paramIndex`: the
+  /// static prefix, the bias gradient as coefficient, `pool`, and the
+  /// fold's row dots as the fused-dot output (see FactoredPrefixGrad).
+  /// Points into this layer: rebuild it after the layer is copied or
+  /// moved. Throws unless folding is configured.
+  FactoredPrefixGrad factoredGrad(std::size_t paramIndex, ThreadPool* pool) const;
+
   /// Folded input-layer backward: accumulates the packed dynamic-column
   /// weight gradient and the bias gradient (which doubles as the
   /// rank-1 coefficient for the static columns). Never produces dX —
@@ -140,18 +159,27 @@ class DenseLayer {
 
  private:
   struct Fold {
+    Fold(std::vector<double> prefix, std::size_t out)
+        : staticPrefix(std::move(prefix)), dots(out) {}
     std::vector<double> staticPrefix;  ///< the S constant input values
     Tensor wd;                         ///< out x dynamicDim packed dynamic columns
     Tensor c;                          ///< 1 x out folded bias W_s*x_s + b
+    /// W_s*x_s per row, valid while dotsCurrent. Written by a full
+    /// refold or by an optimizer step's fused dot; weights() and a new
+    /// Fold mark it stale.
+    std::vector<double> dots;
+    bool dotsCurrent = false;
     mutable std::mutex rebuild;
     std::atomic<std::uint64_t> cachedVersion{0};  ///< 0 = never folded
     std::atomic<std::uint64_t> folds{0};
   };
 
-  /// Bring the fold cache up to weightVersion() (lazy, thread-safe).
-  /// Runs on the calling thread: it holds Fold::rebuild, and a
-  /// parallelFor waiting in here could pick up a queued task that
-  /// refolds this same layer and blocks on that mutex.
+  /// Bring the fold cache up to weightVersion() (lazy, thread-safe):
+  /// c = dots + b and W_d from the current weights, sweeping W_s for
+  /// the dots only when they are stale. Runs on the calling thread: it
+  /// holds Fold::rebuild, and a parallelFor waiting in here could pick
+  /// up a queued task that refolds this same layer and blocks on that
+  /// mutex.
   void refold() const;
 
   Tensor weights_;  // out x in
@@ -192,9 +220,11 @@ class Mlp {
 
   /// Descriptor of the folded input layer's rank-1 gradient for
   /// Optimizer::step over parameters()/gradients(), carrying this net's
-  /// pool so the factored update splits across it. nullopt when the
-  /// input layer is not folded. Points into this net: rebuild it after
-  /// the net is copied or moved.
+  /// pool so the factored update spreads across it, and the input
+  /// layer's row dots, so the step leaves the next forward's refold one
+  /// add per row (DenseLayer::factoredGrad). nullopt when the input
+  /// layer is not folded. Points into this net: rebuild it after the net
+  /// is copied or moved.
   std::optional<FactoredPrefixGrad> factoredGrad() const;
 
   /// Forward pass; caches activations for a subsequent backward().

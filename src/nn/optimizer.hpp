@@ -25,15 +25,39 @@ namespace dqndock::nn {
 /// streamed — the payoff of the static-prefix fold on the learn phase.
 /// Per-parameter optimizer state stays full-shaped (keyed by the param).
 ///
-/// With a `pool`, the update of that parameter is split into contiguous
-/// row ranges across it. Every element's update reads and writes only
-/// its own weight and state, so any partition yields the serial bits.
+/// The update sweeps the rows in groups of at most kDotRows. With a
+/// `pool`, the caller and the pool workers pull those groups from a
+/// shared counter. Every element's update reads and writes only its own
+/// weight and state, so any schedule yields the serial bits.
+///
+/// Fused dot: when `rowDots` is non-empty (one slot per row), the sweep
+/// also sums each row's static dot Σ_j W[r][j]·staticPrefix[j] over the
+/// weights it has just written, in the order of accumulateRowDots, so
+/// each dot is bitwise the serial one for any schedule. It sets
+/// `*rowDotsCurrent` once every row is done. The folded input layer
+/// points both into its fold cache (DenseLayer::factoredGrad) and builds
+/// its folded bias from the dots without reading W_s again. With an
+/// empty `rowDots` the sweep computes no dots and marks nothing.
 struct FactoredPrefixGrad {
   std::size_t paramIndex = 0;            ///< position of the weight tensor in params/grads
   std::span<const double> staticPrefix;  ///< the S constant input values
   const Tensor* coeff = nullptr;         ///< 1 x out rank-1 coefficient (= bias grad)
-  ThreadPool* pool = nullptr;            ///< splits the factored update by rows when set
+  ThreadPool* pool = nullptr;            ///< shares the row groups out when set
+  std::span<double> rowDots;             ///< optional out: static dot of each stepped row
+  bool* rowDotsCurrent = nullptr;        ///< set once rowDots holds the stepped rows' dots
 };
+
+/// Rows whose static dots accumulate side by side: one accumulator each.
+inline constexpr std::size_t kDotRows = 8;
+
+/// dots[k] += Σ_{j<n} w[k·stride + j]·xs[j] for rows k < `rows` (at most
+/// kDotRows), in ascending j. Each row keeps its own accumulator, so
+/// its sum is bitwise the one-row loop's whatever rows share the pass,
+/// and splitting j into consecutive calls continues the same sum. The
+/// refold and the fused optimizer sweep both sum through here, starting
+/// from 0.0, which makes their dots agree bit for bit.
+void accumulateRowDots(const double* w, std::size_t rows, std::size_t stride, const double* xs,
+                       std::size_t n, double* dots);
 
 class Optimizer {
  public:

@@ -271,8 +271,10 @@ Message ScreenCoordinator::handleResult(const Message& request) {
   }
   const auto count = static_cast<std::size_t>(request.getInt("n", 0));
   for (std::size_t i = 0; i < count; ++i) {
-    const std::string token = request.get("h" + std::to_string(i));
-    if (token.empty()) return Message::error("RESULT missing hit field h" + std::to_string(i));
+    std::string field = "h";
+    field += std::to_string(i);
+    const std::string token = request.get(field);
+    if (token.empty()) return Message::error("RESULT missing hit field " + field);
     try {
       record.hits.push_back(decodeHit(token));
     } catch (const std::exception& e) {

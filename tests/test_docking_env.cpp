@@ -107,9 +107,15 @@ TEST_F(DockingEnvFixture, RewardIsSignOfScoreChange) {
   // {-1, 0, +1} and consistent with scoreDelta.
   for (int i = 0; i < 30 && !env.terminated(); ++i) {
     const auto r = env.step(4);
-    if (r.scoreDelta > 0) EXPECT_DOUBLE_EQ(r.reward, 1.0);
-    if (r.scoreDelta < 0) EXPECT_DOUBLE_EQ(r.reward, -1.0);
-    if (r.scoreDelta == 0) EXPECT_DOUBLE_EQ(r.reward, 0.0);
+    if (r.scoreDelta > 0) {
+      EXPECT_DOUBLE_EQ(r.reward, 1.0);
+    }
+    if (r.scoreDelta < 0) {
+      EXPECT_DOUBLE_EQ(r.reward, -1.0);
+    }
+    if (r.scoreDelta == 0) {
+      EXPECT_DOUBLE_EQ(r.reward, 0.0);
+    }
   }
 }
 

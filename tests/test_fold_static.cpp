@@ -3,7 +3,9 @@
 // across thread pools and runs, and the fold cache must be invalidated
 // by every weight-mutation path in the codebase (optimizer step, target
 // sync, copyWeightsFrom, checkpoint restore, registry hot-swap). The
-// DQNDOCK_FOLD_STATIC gate grammar is pinned here too.
+// optimizer's fused row dots must leave the folded bias bitwise the
+// serial refold's without a W_s sweep. The DQNDOCK_FOLD_STATIC gate
+// grammar is pinned here too.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -458,6 +461,198 @@ TEST(FoldStaticInvalidation, ModelRegistryHotSwapFoldsEachVersionOnce) {
   // Lazy refold ran exactly once for this version despite two predicts.
   const auto& mlpNet = dynamic_cast<const rl::MlpQNetwork&>(*current->net);
   EXPECT_EQ(mlpNet.net().inputLayer().foldCount(), 1u);
+}
+
+// --- Fused row dots ---------------------------------------------------------
+
+/// Rows of the folded bias that differ from the serial one-row dot of the
+/// layer's current weights plus its current bias.
+std::size_t foldedBiasMismatches(const nn::DenseLayer& layer) {
+  const nn::Tensor& c = layer.foldedBias();
+  const std::span<const double> xs = layer.staticPrefix();
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < layer.outDim(); ++r) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < xs.size(); ++j) acc += layer.weights()(r, j) * xs[j];
+    mismatches += c(0, r) != acc + layer.bias()(0, r);
+  }
+  return mismatches;
+}
+
+/// One learn round through the agents' call shape: forward, dL/dQ = Q,
+/// backward, then a step through the net's own factored descriptor.
+void learnRound(rl::QNetwork& net, nn::Optimizer& opt, const nn::Tensor& x) {
+  nn::Tensor dy = net.forward(x);
+  net.zeroGrad();
+  net.backward(dy);
+  opt.step(net.parameters(), net.gradients(), net.factoredGrad());
+}
+
+const nn::DenseLayer& inputLayerOf(const rl::MlpQNetwork& net) { return net.net().inputLayer(); }
+
+struct FusedDotShape {
+  std::size_t in, staticLen, rows;
+};
+
+TEST(FoldStaticFusedDot, StepPublishesTheSerialDotOnEverySchedule) {
+  // 13 rows: two row groups, the second short. 6 rows: one group, fewer
+  // than any pool's participants. 80 rows: ten groups, more than the
+  // participants of an 8-thread pool. All three layers fan out.
+  const FusedDotShape shapes[] = {{4000, 3800, 13}, {50000, 49700, 6}, {3000, 2900, 80}};
+  for (const FusedDotShape& shape : shapes) {
+    const auto prefix = makePrefix(shape.staticLen, 71);
+    const nn::Tensor x = makeStates(8, shape.in, prefix, 73);
+    for (const std::string kind : {"sgd", "rmsprop", "adam"}) {
+      auto stepFused = [&](ThreadPool* pool, const std::string& ctx) {
+        Rng rng(2024);
+        rl::MlpQNetwork net(shape.in, {shape.rows}, 5, rng, pool);
+        EXPECT_TRUE(net.configureStaticPrefix(prefix));
+        auto opt = nn::makeOptimizer(kind, 0.01);
+        for (int step = 0; step < 3; ++step) {
+          learnRound(net, *opt, x);
+          EXPECT_EQ(foldedBiasMismatches(inputLayerOf(net)), 0u) << ctx << " step " << step;
+        }
+        nn::Tensor q;
+        net.predict(x, q);
+        // Only the first forward swept W_s: every step published its dots.
+        EXPECT_EQ(inputLayerOf(net).foldCount(), 1u) << ctx;
+        std::vector<double> flat;
+        for (const nn::Tensor* p : net.parameters()) {
+          flat.insert(flat.end(), p->data(), p->data() + p->size());
+        }
+        return flat;
+      };
+      const std::string base = kind + " rows " + std::to_string(shape.rows);
+      const std::vector<double> serial = stepFused(nullptr, base + " no pool");
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+        ThreadPool pool(threads);
+        const std::string ctx = base + " threads " + std::to_string(threads);
+        const std::vector<double> pooled = stepFused(&pool, ctx);
+        ASSERT_EQ(pooled.size(), serial.size());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < serial.size(); ++i) mismatches += pooled[i] != serial[i];
+        EXPECT_EQ(mismatches, 0u) << ctx;
+      }
+    }
+  }
+}
+
+TEST(FoldStaticFusedDot, StaleWritesAfterAStepRefoldOnceAndBiasWritesDoNot) {
+  const auto prefix = makePrefix(2900, 79);
+  const nn::Tensor x = makeStates(4, 3000, prefix, 83);
+  ThreadPool pool(3);
+  auto makeNet = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    auto net = std::make_unique<rl::MlpQNetwork>(3000, std::vector<std::size_t>{80}, 5, rng,
+                                                 &pool);
+    EXPECT_TRUE(net->configureStaticPrefix(prefix));
+    return net;
+  };
+  auto opt = nn::makeOptimizer("rmsprop", 0.01);
+  auto stepped = makeNet(1);
+  learnRound(*stepped, *opt, x);
+  ASSERT_EQ(inputLayerOf(*stepped).foldCount(), 1u);
+
+  // A bias write after a step: c = dots + the new bias, no W_s sweep.
+  stepped->net().layers()[0].bias()(0, 3) += 0.5;
+  EXPECT_EQ(foldedBiasMismatches(inputLayerOf(*stepped)), 0u);
+  EXPECT_EQ(inputLayerOf(*stepped).foldCount(), 1u) << "a bias write swept W_s";
+
+  // A static-column weights() write after a step: one full refold.
+  learnRound(*stepped, *opt, x);
+  stepped->net().layers()[0].weights()(5, 17) += 0.25;
+  EXPECT_EQ(foldedBiasMismatches(inputLayerOf(*stepped)), 0u);
+  EXPECT_EQ(inputLayerOf(*stepped).foldCount(), 2u);
+
+  // copyWeightsFrom after a step (the target-sync path): one full refold
+  // that serves the source's weights.
+  auto source = makeNet(2);
+  nn::Tensor qSource, qCopy;
+  source->predict(x, qSource);
+  learnRound(*stepped, *opt, x);
+  stepped->copyWeightsFrom(*source);
+  EXPECT_EQ(foldedBiasMismatches(inputLayerOf(*stepped)), 0u);
+  EXPECT_EQ(inputLayerOf(*stepped).foldCount(), 3u);
+  stepped->predict(x, qCopy);
+  for (std::size_t i = 0; i < qSource.size(); ++i) EXPECT_EQ(qCopy.data()[i], qSource.data()[i]);
+
+  // A checkpoint restore after a step: one full refold that serves the
+  // restored weights.
+  std::stringstream blob;
+  rl::saveWeights(blob, *source);
+  learnRound(*stepped, *opt, x);
+  rl::loadWeights(blob, *stepped);
+  EXPECT_EQ(foldedBiasMismatches(inputLayerOf(*stepped)), 0u);
+  EXPECT_EQ(inputLayerOf(*stepped).foldCount(), 4u);
+  stepped->predict(x, qCopy);
+  for (std::size_t i = 0; i < qSource.size(); ++i) EXPECT_EQ(qCopy.data()[i], qSource.data()[i]);
+}
+
+TEST(FoldStaticFusedDot, FusedTwinMatchesTheLazyRefoldOracle) {
+  // Twin nets and their targets, stepped in lockstep: the fused twin
+  // through the descriptor factoredGrad() returns, the oracle through a
+  // copy with the row dots cleared, so it refolds lazily after each step.
+  const std::size_t kIn = 3000, kStatic = 2900;
+  const int kRounds = 8;
+  const auto prefix = makePrefix(kStatic, 89);
+  ThreadPool pool(3);
+  for (const std::string kind : {"sgd", "rmsprop", "adam"}) {
+    Rng rngF(2024), rngO(2024);
+    rl::MlpQNetwork fused(kIn, {80, 16}, 5, rngF, &pool);
+    rl::MlpQNetwork oracle(kIn, {80, 16}, 5, rngO, &pool);
+    ASSERT_TRUE(fused.configureStaticPrefix(prefix));
+    ASSERT_TRUE(oracle.configureStaticPrefix(prefix));
+    const auto fusedTarget = fused.clone();
+    const auto oracleTarget = oracle.clone();
+    auto optF = nn::makeOptimizer(kind, 0.01);
+    auto optO = nn::makeOptimizer(kind, 0.01);
+
+    auto expectBitwise = [&](const nn::Tensor& a, const nn::Tensor& b, const std::string& what) {
+      ASSERT_EQ(a.size(), b.size()) << what;
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < a.size(); ++i) mismatches += a.data()[i] != b.data()[i];
+      EXPECT_EQ(mismatches, 0u) << kind << " " << what;
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      const nn::Tensor x = makeStates(8, kIn, prefix, 100 + static_cast<std::uint64_t>(round));
+      const std::string at = "round " + std::to_string(round);
+      nn::Tensor tf, to;
+      fusedTarget->predict(x, tf);
+      oracleTarget->predict(x, to);
+      expectBitwise(tf, to, "target output, " + at);
+
+      nn::Tensor dyF = fused.forward(x);
+      nn::Tensor dyO = oracle.forward(x);
+      expectBitwise(dyF, dyO, "online output, " + at);
+      fused.zeroGrad();
+      fused.backward(dyF);
+      optF->step(fused.parameters(), fused.gradients(), fused.factoredGrad());
+      oracle.zeroGrad();
+      oracle.backward(dyO);
+      nn::FactoredPrefixGrad lazy = *oracle.factoredGrad();
+      lazy.rowDots = {};
+      optO->step(oracle.parameters(), oracle.gradients(), &lazy);
+
+      if (round % 3 == 2) {
+        fusedTarget->copyWeightsFrom(fused);
+        oracleTarget->copyWeightsFrom(oracle);
+      }
+    }
+    const nn::Tensor probe = makeStates(4, kIn, prefix, 97);
+    nn::Tensor qf, qo;
+    fused.predict(probe, qf);
+    oracle.predict(probe, qo);
+    expectBitwise(qf, qo, "final output");
+    // The fused twin swept W_s once; the oracle after every step.
+    EXPECT_EQ(inputLayerOf(fused).foldCount(), 1u) << kind;
+    EXPECT_EQ(inputLayerOf(oracle).foldCount(), static_cast<std::uint64_t>(kRounds) + 1) << kind;
+    const auto pf = fused.parameters();
+    const auto po = oracle.parameters();
+    ASSERT_EQ(pf.size(), po.size());
+    for (std::size_t i = 0; i < pf.size(); ++i) {
+      expectBitwise(*pf[i], *po[i], "param " + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace

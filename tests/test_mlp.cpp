@@ -1,14 +1,11 @@
 // Tests for the MLP: shapes, ReLU semantics, finite-difference gradient
-// verification, weight copying and binary serialization.
+// verification and weight copying.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <sstream>
 
 #include "src/nn/mlp.hpp"
-#include "src/nn/serialize.hpp"
 
 namespace dqndock::nn {
 namespace {
@@ -177,46 +174,6 @@ TEST(MlpTest, CopyWeightsShapeMismatchThrows) {
   Mlp c({4, 3}, rng);
   EXPECT_THROW(b.copyWeightsFrom(a), std::invalid_argument);
   EXPECT_THROW(c.copyWeightsFrom(a), std::invalid_argument);
-}
-
-TEST(SerializeTest, RoundTripPreservesPredictions) {
-  Rng rng(10);
-  Mlp net({5, 9, 4}, rng);
-  std::stringstream ss;
-  saveMlp(ss, net);
-  Mlp loaded = loadMlp(ss);
-  EXPECT_EQ(loaded.dims(), net.dims());
-  const Tensor x = randomTensor(3, 5, rng);
-  Tensor y1, y2;
-  net.predict(x, y1);
-  loaded.predict(x, y2);
-  for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_DOUBLE_EQ(y1.flat()[i], y2.flat()[i]);
-}
-
-TEST(SerializeTest, BadMagicRejected) {
-  std::stringstream ss;
-  ss << "not a checkpoint";
-  EXPECT_THROW(loadMlp(ss), std::runtime_error);
-}
-
-TEST(SerializeTest, TruncatedStreamRejected) {
-  Rng rng(11);
-  Mlp net({5, 9, 4}, rng);
-  std::stringstream ss;
-  saveMlp(ss, net);
-  const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(loadMlp(truncated), std::runtime_error);
-}
-
-TEST(SerializeTest, FileRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "dqndock_mlp_test.bin";
-  Rng rng(12);
-  Mlp net({3, 4, 2}, rng);
-  saveMlpFile(path.string(), net);
-  const Mlp loaded = loadMlpFile(path.string());
-  EXPECT_EQ(loaded.dims(), net.dims());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -37,7 +37,9 @@ TEST_F(RewardModeFixture, SignClipIsPaperBehaviour) {
   for (int i = 0; i < 25 && !env.terminated(); ++i) {
     const StepResult r = env.step(4);
     EXPECT_TRUE(r.reward == 1.0 || r.reward == 0.0 || r.reward == -1.0);
-    if (r.scoreDelta > 0) EXPECT_DOUBLE_EQ(r.reward, 1.0);
+    if (r.scoreDelta > 0) {
+      EXPECT_DOUBLE_EQ(r.reward, 1.0);
+    }
   }
 }
 
@@ -58,7 +60,9 @@ TEST_F(RewardModeFixture, ClippedDeltaBounded) {
     const StepResult r = env.step(4);
     EXPECT_GE(r.reward, -1.0);
     EXPECT_LE(r.reward, 1.0);
-    if (std::fabs(r.scoreDelta) < 1.0) EXPECT_DOUBLE_EQ(r.reward, r.scoreDelta);
+    if (std::fabs(r.scoreDelta) < 1.0) {
+      EXPECT_DOUBLE_EQ(r.reward, r.scoreDelta);
+    }
   }
 }
 
