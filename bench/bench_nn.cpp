@@ -7,7 +7,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "src/nn/gemm_kernels.hpp"
+#include "src/common/cpu_tier.hpp"
 #include "src/nn/mlp.hpp"
 
 using namespace dqndock;
@@ -165,11 +165,10 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("dqndock_bench_asserts", "on");
 #endif
-  // Resolves exactly the way Mlp::forward/backward will (CPUID probe or
-  // the DQNDOCK_FORCE_KERNEL override) and fails loudly here if a forced
-  // tier is unavailable rather than publishing mislabelled rows.
-  benchmark::AddCustomContext("dqndock_gemm_kernel_tier",
-                              nn::gemmTierName(nn::resolveGemmTier()));
+  // The tier Mlp::forward/backward will run (CPUID probe or the
+  // DQNDOCK_FORCE_KERNEL override); fails loudly here if a forced tier
+  // is unavailable rather than publishing mislabelled rows.
+  benchmark::AddCustomContext("dqndock_gemm_kernel_tier", cpuTierName(activeCpuTier()));
   // The folded benchmarks configure the fold explicitly, but the stamp
   // records what the DQNDOCK_FOLD_STATIC gate would give the trainers.
   benchmark::AddCustomContext("dqndock_fold_static",

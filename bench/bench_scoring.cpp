@@ -19,8 +19,8 @@
 #include <memory>
 
 #include "src/chem/synthetic.hpp"
+#include "src/common/cpu_tier.hpp"
 #include "src/metadock/evaluator.hpp"
-#include "src/metadock/scoring_kernels.hpp"
 
 using namespace dqndock;
 using metadock::LigandModel;
@@ -220,11 +220,10 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("dqndock_bench_asserts", "on");
 #endif
   // Which Eq. 1 sweep-kernel tier the runs dispatched to (CPUID probe,
-  // or the DQNDOCK_FORCE_KERNEL override) — resolves exactly the way the
-  // benchmarked ScoringFunction instances do, and fails loudly here if a
-  // forced tier is unavailable rather than publishing mislabelled rows.
-  benchmark::AddCustomContext("dqndock_kernel_tier",
-                              metadock::kernelTierName(metadock::resolveKernelTier()));
+  // or the DQNDOCK_FORCE_KERNEL override) — the tier the benchmarked
+  // ScoringFunction instances take, and fails loudly here if a forced
+  // tier is unavailable rather than publishing mislabelled rows.
+  benchmark::AddCustomContext("dqndock_kernel_tier", cpuTierName(activeCpuTier()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

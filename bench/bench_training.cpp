@@ -20,10 +20,9 @@
 #include <vector>
 
 #include "src/common/cli.hpp"
+#include "src/common/cpu_tier.hpp"
 #include "src/common/stopwatch.hpp"
 #include "src/core/dqn_docking.hpp"
-#include "src/metadock/scoring_kernels.hpp"
-#include "src/nn/gemm_kernels.hpp"
 #include "src/nn/mlp.hpp"
 
 using namespace dqndock;
@@ -184,10 +183,10 @@ int main(int argc, char** argv) {
   std::printf("  \"dqndock_bench_asserts\": \"on\",\n");
 #endif
   std::printf("  \"dqndock_bench_build_type\": \"%s\",\n", DQNDOCK_BENCH_BUILD_TYPE);
-  std::printf("  \"dqndock_kernel_tier\": \"%s\",\n",
-              metadock::kernelTierName(metadock::resolveKernelTier()));
-  std::printf("  \"dqndock_gemm_kernel_tier\": \"%s\",\n",
-              nn::gemmTierName(nn::resolveGemmTier()));
+  // One tier runs both kernel families; both keys stay for the schema.
+  const char* tier = cpuTierName(activeCpuTier());
+  std::printf("  \"dqndock_kernel_tier\": \"%s\",\n", tier);
+  std::printf("  \"dqndock_gemm_kernel_tier\": \"%s\",\n", tier);
   // Which way the DQNDOCK_FOLD_STATIC gate resolved for these runs: the
   // learn rows fold the receptor prefix out of the input layer iff "on".
   std::printf("  \"dqndock_fold_static\": \"%s\",\n",

@@ -42,11 +42,10 @@ ScoringFunction::ScoringFunction(const ReceptorModel& receptor, const LigandMode
     : receptor_(receptor),
       ligand_(ligand),
       options_(options),
-      // Dispatch table chosen once per ScoringFunction: CPUID probe with
-      // an optional DQNDOCK_FORCE_KERNEL override (throws on an
-      // unsupported forced tier, so a pinned test/bench run can't
-      // silently fall back).
-      kernel_(&detail::scoringKernelOps(resolveKernelTier())) {
+      // Dispatch table chosen once per ScoringFunction from the cached
+      // process-wide tier (throws on an unsupported forced tier, so a
+      // pinned test/bench run can't silently fall back).
+      kernel_(&detail::scoringKernelOps(activeCpuTier())) {
   if (options_.useGrid && options_.cutoff > 0.0 && !receptor_.hasGrid()) {
     throw std::invalid_argument(
         "ScoringFunction: useGrid requires a ReceptorModel built with a grid");

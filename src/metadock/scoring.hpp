@@ -29,11 +29,12 @@
 ///
 /// The packed sweeps (per-pose and pose-batched) are runtime-dispatched:
 /// per-ISA translation units (portable C++ and AVX-512F) are compiled
-/// with explicit per-file flags, and a CPUID-probed function-pointer
-/// table is installed once at construction, so a portable Release binary
-/// still runs the AVX-512 batched sweep on capable hosts.
-/// `DQNDOCK_FORCE_KERNEL=generic|avx512` pins the tier for testing and
-/// benchmarking (see scoring_kernels.hpp). The per-pose sweep is
+/// with explicit per-file flags, and the function-pointer table of the
+/// active tier (src/common/cpu_tier.hpp, CPUID-probed once per process)
+/// is installed at construction, so a portable Release binary still
+/// runs the AVX-512 batched sweep on capable hosts.
+/// An environment override pins the tier for testing and benchmarking
+/// (see cpu_tier.hpp). The per-pose sweep is
 /// bit-identical across tiers; the batched AVX-512 sweep agrees with the
 /// generic one to ~1e-9 relative and each tier is bit-deterministic.
 ///
@@ -160,10 +161,9 @@ class ScoringFunction {
   const LigandModel& ligand() const { return ligand_; }
   const ScoringOptions& options() const { return options_; }
 
-  /// ISA tier of the sweep kernels this instance dispatches to — probed
-  /// from CPUID at construction (DQNDOCK_FORCE_KERNEL overrides; see
-  /// scoring_kernels.hpp).
-  KernelTier kernelTier() const { return kernel_->tier; }
+  /// ISA tier of the sweep kernels this instance dispatches to: the
+  /// active tier at construction (activeCpuTier(); see cpu_tier.hpp).
+  CpuTier kernelTier() const { return kernel_->tier; }
 
  private:
   /// Full three-term energy of one ligand atom against the receptor,

@@ -2,8 +2,8 @@
 /// AVX-512F tier of the Eq. 1 sweep kernels. This translation unit is
 /// compiled with an explicit `-mavx512f` (plus the shared kernel flags) —
 /// NOT gated on `-march=native` — so every build of the library carries
-/// it; the dispatch table only routes here after the CPUID probe (or a
-/// forced DQNDOCK_FORCE_KERNEL=avx512) says the host can execute it.
+/// it; the dispatch table only routes here after src/common/cpu_tier
+/// (CPUID probe, or a checked avx512 pin) says the host can execute it.
 /// Nothing in this TU runs at static-initialisation time except storing
 /// plain function pointers.
 ///
@@ -15,7 +15,7 @@
 
 #include "src/metadock/scoring_kernels.hpp"
 
-#ifdef DQNDOCK_KERNEL_HAVE_AVX512
+#ifdef DQNDOCK_HAVE_AVX512
 
 #include <immintrin.h>
 
@@ -203,9 +203,9 @@ void sweepAtomAvx512(const double* X, const double* Y, const double* Z, const do
 
 }  // namespace
 
-const ScoringKernelOps kAvx512KernelOps = {KernelTier::kAvx512, &sweepRangesAvx512,
+const ScoringKernelOps kAvx512KernelOps = {CpuTier::kAvx512, &sweepRangesAvx512,
                                            &sweepAtomAvx512};
 
 }  // namespace dqndock::metadock::detail
 
-#endif  // DQNDOCK_KERNEL_HAVE_AVX512
+#endif  // DQNDOCK_HAVE_AVX512

@@ -29,7 +29,7 @@ void sweepAtomGeneric(const double* X, const double* Y, const double* Z, const d
 
 }  // namespace
 
-const ScoringKernelOps kGenericKernelOps = {KernelTier::kGeneric, &sweepRangesGeneric,
+const ScoringKernelOps kGenericKernelOps = {CpuTier::kGeneric, &sweepRangesGeneric,
                                             &sweepAtomGeneric};
 
 }  // namespace dqndock::metadock::detail

@@ -7,10 +7,11 @@
 /// live in per-ISA translation units compiled with explicit per-file
 /// flags (`scoring_kernel_generic.cpp` portable, `scoring_kernel_avx512.cpp`
 /// with `-mavx512f`), instead of relying on `__AVX512F__` leaking in from
-/// `-march=native`. A CPUID-probed function-pointer table is chosen once
-/// at `ScoringFunction` construction, so one portable Release binary
-/// picks up the AVX-512 sweep on capable hosts — the one-binary-many-ISAs
-/// pattern of METADOCK's multi-backend scoring engine.
+/// `-march=native`. `ScoringFunction` takes the function-pointer table of
+/// the active tier (src/common/cpu_tier.hpp: CPUID probe, cached) at
+/// construction, so one portable Release binary picks up the AVX-512
+/// sweep on capable hosts — the one-binary-many-ISAs pattern of
+/// METADOCK's multi-backend scoring engine.
 ///
 /// Tier contract:
 ///  * Each tier is bit-deterministic: for a fixed tier, batched scores
@@ -24,38 +25,21 @@
 ///    portable build and a `-march=native` build that select the same
 ///    tier produce bit-identical scores.
 ///
-/// `DQNDOCK_FORCE_KERNEL=generic|avx512` overrides the probe (testing /
-/// benchmarking); forcing a tier the binary or host cannot run throws.
+/// cpu_tier.hpp owns the override that pins one tier for every kernel
+/// family, and the errors for a tier this binary or host cannot run.
 
 #include <cstddef>
 #include <cstdint>
 
+#include "src/common/cpu_tier.hpp"
+
 namespace dqndock::metadock {
 
-/// ISA tier of the Eq. 1 sweep kernels, ordered worst to best.
-enum class KernelTier : unsigned char {
-  kGeneric = 0,  ///< portable C++, compiler-auto-vectorised
-  kAvx512 = 1,   ///< AVX-512F intrinsics (batched sweep), zmm auto-vec (per-pose)
-};
-
-/// Stable lowercase name ("generic", "avx512") — the value accepted by
-/// DQNDOCK_FORCE_KERNEL and reported as `kernel_tier` in
-/// BENCH_scoring.json.
-const char* kernelTierName(KernelTier tier);
-
-/// True when this binary contains the tier's translation unit.
-bool kernelTierCompiled(KernelTier tier);
-
-/// True when the tier is compiled in AND the running CPU can execute it.
-bool kernelTierSupported(KernelTier tier);
-
-/// Best CPU-supported tier (CPUID probe, cached).
-KernelTier probeKernelTier();
-
-/// probeKernelTier() unless DQNDOCK_FORCE_KERNEL names a tier; throws
-/// std::runtime_error for an unknown name or an unsupported forced tier
-/// (a forced benchmark/test run must never silently fall back).
-KernelTier resolveKernelTier();
+// bench/e2e's host stamp (`scoring_kernel_tier`) calls these two names; they
+// forward to the one tier decision. New code calls activeCpuTier() and
+// cpuTierName() directly.
+inline CpuTier resolveKernelTier() { return activeCpuTier(); }
+inline const char* kernelTierName(CpuTier tier) { return cpuTierName(tier); }
 
 namespace detail {
 
@@ -77,21 +61,26 @@ using SweepAtomFn = void (*)(const double* X, const double* Y, const double* Z,
                              double ly, double lz, double cut2, double* elecOut, double* vdwOut);
 
 /// One tier's dispatch table. Instances live in the per-ISA TUs; the
-/// AVX-512 table must only be invoked after kernelTierSupported() says
-/// the host can run it.
+/// AVX-512 table must only be invoked after cpuTierSupported() says the
+/// host can run it.
 struct ScoringKernelOps {
-  KernelTier tier;
+  CpuTier tier;
   SweepRangesFn sweepRanges;
   SweepAtomFn sweepAtom;
 };
 
 extern const ScoringKernelOps kGenericKernelOps;
-#ifdef DQNDOCK_KERNEL_HAVE_AVX512
+#ifdef DQNDOCK_HAVE_AVX512
 extern const ScoringKernelOps kAvx512KernelOps;
 #endif
 
-/// Table for `tier`; the tier must be compiled in.
-const ScoringKernelOps& scoringKernelOps(KernelTier tier);
+/// Table for `tier`, a tier activeCpuTier() returned (so compiled in).
+inline const ScoringKernelOps& scoringKernelOps(CpuTier tier) {
+#ifdef DQNDOCK_HAVE_AVX512
+  if (tier == CpuTier::kAvx512) return kAvx512KernelOps;
+#endif
+  return kGenericKernelOps;
+}
 
 }  // namespace detail
 

@@ -42,7 +42,7 @@ void gemmABt(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool,
     maskPtr = epilogue.reluMask->data();
   }
   const double* biasPtr = epilogue.bias != nullptr ? epilogue.bias->data() : nullptr;
-  const auto& ops = detail::gemmKernelOps(gemmKernelTier());
+  const auto& ops = detail::gemmKernelOps(activeCpuTier());
   auto body = [&](std::size_t lo, std::size_t hi) {
     ops.abtRows(a.data(), b.data(), c.data(), lo, hi, n, k, biasPtr, epilogue.relu, maskPtr);
   };
@@ -62,7 +62,7 @@ void gemmAB(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool, const
   }
   c.resize(m, n);  // zero base: the kernel accumulates into C
   const double* maskPtr = mask != nullptr ? mask->data() : nullptr;
-  const auto& ops = detail::gemmKernelOps(gemmKernelTier());
+  const auto& ops = detail::gemmKernelOps(activeCpuTier());
   auto body = [&](std::size_t lo, std::size_t hi) {
     ops.abRows(a.data(), b.data(), c.data(), lo, hi, n, k, maskPtr);
   };
@@ -80,7 +80,7 @@ void gemmAtBAccum(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool)
     throw std::invalid_argument("gemmAtBAccum: output shape mismatch");
   }
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  const auto& ops = detail::gemmKernelOps(gemmKernelTier());
+  const auto& ops = detail::gemmKernelOps(activeCpuTier());
   // Parallelize over rows of C (columns of A) so threads never share an
   // output cache line region.
   auto body = [&](std::size_t lo, std::size_t hi) {

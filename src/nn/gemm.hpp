@@ -5,8 +5,9 @@
 /// kernels — the entire FLOP budget of DQN training flows through these
 /// three shapes: forward (X*W^T), input gradient (dY*W) and weight
 /// gradient (dY^T*X). Per-ISA kernel tiers live behind the dispatch
-/// table in gemm_kernels.hpp (`DQNDOCK_FORCE_KERNEL` pins a tier; every
-/// tier is bit-deterministic across thread counts and runs).
+/// table in gemm_kernels.hpp; each call runs the active tier of
+/// src/common/cpu_tier.hpp (an environment override pins it). Every
+/// tier is bit-deterministic across thread counts and runs.
 ///
 /// Zero-skip semantics (gemmAB / gemmAtBAccum): rows of B whose matching
 /// A element is exactly 0.0 are skipped entirely. In backprop A is a

@@ -2,10 +2,10 @@
 /// AVX-512F/FMA tier of the training GEMM kernels. This translation
 /// unit is compiled with an explicit `-mavx512f` (plus the shared kernel
 /// flags) — NOT gated on `-march=native` — so every build of the library
-/// carries it; the dispatch table only routes here after the CPUID probe
-/// (or a forced DQNDOCK_FORCE_KERNEL=avx512) says the host can execute
-/// it. Nothing in this TU runs at static-initialisation time except
-/// storing plain function pointers.
+/// carries it; the dispatch table only routes here after
+/// src/common/cpu_tier (CPUID probe, or a checked avx512 pin) says the
+/// host can execute it. Nothing in this TU runs at static-initialisation
+/// time except storing plain function pointers.
 ///
 /// Determinism layout (the "fixed lane-reduction order" contract):
 ///  * gemmABt: each output element is one dot product accumulated in
@@ -28,7 +28,7 @@
 
 #include "src/nn/gemm_kernels.hpp"
 
-#ifdef DQNDOCK_GEMM_HAVE_AVX512
+#ifdef DQNDOCK_HAVE_AVX512
 
 #include <immintrin.h>
 
@@ -327,9 +327,9 @@ void gemmAtBRowsAvx512(const double* a, const double* b, double* c, std::size_t 
 
 }  // namespace
 
-const GemmKernelOps kAvx512GemmOps = {GemmTier::kAvx512, &gemmABtRowsAvx512, &gemmABRowsAvx512,
+const GemmKernelOps kAvx512GemmOps = {CpuTier::kAvx512, &gemmABtRowsAvx512, &gemmABRowsAvx512,
                                       &gemmAtBRowsAvx512};
 
 }  // namespace dqndock::nn::detail
 
-#endif  // DQNDOCK_GEMM_HAVE_AVX512
+#endif  // DQNDOCK_HAVE_AVX512

@@ -97,7 +97,7 @@ void gemmAtBRowsGeneric(const double* a, const double* b, double* c, std::size_t
 
 }  // namespace
 
-const GemmKernelOps kGenericGemmOps = {GemmTier::kGeneric, &gemmABtRowsGeneric, &gemmABRowsGeneric,
+const GemmKernelOps kGenericGemmOps = {CpuTier::kGeneric, &gemmABtRowsGeneric, &gemmABRowsGeneric,
                                        &gemmAtBRowsGeneric};
 
 }  // namespace dqndock::nn::detail

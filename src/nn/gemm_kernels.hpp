@@ -6,11 +6,11 @@
 /// The three training GEMM shapes (forward X*W^T, input gradient dY*W,
 /// weight gradient dY^T*X) live in per-ISA translation units compiled
 /// with explicit per-file flags (`gemm_kernel_generic.cpp` portable,
-/// `gemm_kernel_avx512.cpp` with `-mavx512f`), mirroring the Eq. 1
-/// scoring dispatch in src/metadock/scoring_kernels.hpp. A CPUID-probed
-/// function-pointer table is resolved lazily on the first GEMM call, so
-/// one portable Release binary runs the AVX-512/FMA microkernels on
-/// capable hosts.
+/// `gemm_kernel_avx512.cpp` with `-mavx512f`), as the Eq. 1 scoring
+/// kernels do (src/metadock/scoring_kernels.hpp). Every GEMM call takes
+/// the function-pointer table of the active tier (src/common/cpu_tier.hpp:
+/// CPUID probe, cached), so one portable Release binary runs the
+/// AVX-512/FMA microkernels on capable hosts.
 ///
 /// Tier contract:
 ///  * Each tier is bit-deterministic: for a fixed tier, every output
@@ -25,45 +25,20 @@
 ///    (pairwise 512->256->128->scalar tree) and agrees with the generic
 ///    tier to ~1e-12 relative on paper Table 1 shapes.
 ///
-/// `DQNDOCK_FORCE_KERNEL=generic|avx512` pins the tier (shared with the
-/// scoring kernels, so one env var pins the whole binary); unknown names
-/// and unsupported forced tiers throw — a pinned run must never silently
-/// fall back.
+/// cpu_tier.hpp owns the override that pins one tier for every kernel
+/// family, and the errors for a tier this binary or host cannot run.
 
 #include <cstddef>
 
+#include "src/common/cpu_tier.hpp"
+
 namespace dqndock::nn {
 
-/// ISA tier of the GEMM kernels, ordered worst to best.
-enum class GemmTier : unsigned char {
-  kGeneric = 0,  ///< portable C++ (register-tiled scalar, auto-vectorised)
-  kAvx512 = 1,   ///< AVX-512F + FMA microkernels, fixed lane-reduction order
-};
-
-/// Stable lowercase name ("generic", "avx512") — the value accepted by
-/// DQNDOCK_FORCE_KERNEL and reported as `gemm_kernel_tier` in bench JSON.
-const char* gemmTierName(GemmTier tier);
-
-/// True when this binary contains the tier's translation unit.
-bool gemmTierCompiled(GemmTier tier);
-
-/// True when the tier is compiled in AND the running CPU can execute it.
-bool gemmTierSupported(GemmTier tier);
-
-/// Best CPU-supported tier (CPUID probe, cached).
-GemmTier probeGemmTier();
-
-/// probeGemmTier() unless DQNDOCK_FORCE_KERNEL names a tier; throws
-/// std::runtime_error for an unknown name or an unsupported forced tier.
-GemmTier resolveGemmTier();
-
-/// The tier the GEMM entry points currently dispatch to. Resolved (env
-/// override or CPUID probe) on first use and cached for the process.
-GemmTier gemmKernelTier();
-
-/// Re-pin the active tier (tests/benchmarks). Throws std::runtime_error
-/// when `tier` is not supported on this binary/host.
-void setGemmKernelTier(GemmTier tier);
+// bench/e2e's host stamp (`gemm_kernel_tier`) calls these two names; they
+// forward to the one tier decision. New code calls activeCpuTier() and
+// cpuTierName() directly.
+inline CpuTier resolveGemmTier() { return activeCpuTier(); }
+inline const char* gemmTierName(CpuTier tier) { return cpuTierName(tier); }
 
 namespace detail {
 
@@ -91,21 +66,26 @@ using GemmAtBRowsFn = void (*)(const double* a, const double* b, double* c, std:
                                std::size_t hi, std::size_t m, std::size_t n, std::size_t k);
 
 /// One tier's dispatch table. Instances live in the per-ISA TUs; the
-/// AVX-512 table must only be invoked after gemmTierSupported() agrees.
+/// AVX-512 table must only be invoked after cpuTierSupported() agrees.
 struct GemmKernelOps {
-  GemmTier tier;
+  CpuTier tier;
   GemmABtRowsFn abtRows;
   GemmABRowsFn abRows;
   GemmAtBRowsFn atbRows;
 };
 
 extern const GemmKernelOps kGenericGemmOps;
-#ifdef DQNDOCK_GEMM_HAVE_AVX512
+#ifdef DQNDOCK_HAVE_AVX512
 extern const GemmKernelOps kAvx512GemmOps;
 #endif
 
-/// Table for `tier`; the tier must be compiled in.
-const GemmKernelOps& gemmKernelOps(GemmTier tier);
+/// Table for `tier`, a tier activeCpuTier() returned (so compiled in).
+inline const GemmKernelOps& gemmKernelOps(CpuTier tier) {
+#ifdef DQNDOCK_HAVE_AVX512
+  if (tier == CpuTier::kAvx512) return kAvx512GemmOps;
+#endif
+  return kGenericGemmOps;
+}
 
 }  // namespace detail
 

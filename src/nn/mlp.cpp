@@ -363,6 +363,16 @@ std::vector<Tensor*> Mlp::parameters() {
   return out;
 }
 
+std::vector<const Tensor*> Mlp::parameters() const {
+  std::vector<const Tensor*> out;
+  out.reserve(layers_.size() * 2);
+  for (const auto& layer : layers_) {
+    out.push_back(&layer.weights());
+    out.push_back(&layer.bias());
+  }
+  return out;
+}
+
 std::vector<Tensor*> Mlp::gradients() {
   std::vector<Tensor*> out;
   out.reserve(layers_.size() * 2);

@@ -92,8 +92,9 @@ class DenseLayer {
   /// polyak updates, copyWeightsFrom, checkpoint restores) reaches the
   /// tensors through these accessors, so the fold cache can never serve
   /// stale weights. weights() also marks the fold's row dots stale.
-  /// Spurious bumps (read-only callers holding a non-const layer) only
-  /// cost an extra refold.
+  /// Spurious bumps (read-only callers holding a non-const layer) cost
+  /// a full refold; read-only walks take the const overloads
+  /// (Mlp::parameters() const) instead.
   Tensor& weights() {
     ++version_;
     if (fold_) fold_->dotsCurrent = false;
@@ -244,6 +245,9 @@ class Mlp {
   /// (order: W0, b0, W1, b1, ...).
   std::vector<Tensor*> parameters();
   std::vector<Tensor*> gradients();
+  /// Read-only walk in the same order. Unlike parameters(), it leaves
+  /// the weight versions and the fold's row dots alone.
+  std::vector<const Tensor*> parameters() const;
 
   /// Copy weights from an identically-shaped network (target-network
   /// sync). Throws on shape mismatch.

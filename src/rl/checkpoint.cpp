@@ -21,7 +21,7 @@ std::uint64_t readU64(std::istream& in) {
 }
 }  // namespace
 
-void saveWeights(std::ostream& out, QNetwork& net) {
+void saveWeights(std::ostream& out, const QNetwork& net) {
   const auto params = net.parameters();
   writeU64(out, kMagic);
   writeU64(out, params.size());
@@ -52,7 +52,7 @@ void loadWeights(std::istream& in, QNetwork& net) {
   }
 }
 
-void saveWeightsFile(const std::string& path, QNetwork& net) {
+void saveWeightsFile(const std::string& path, const QNetwork& net) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("saveWeightsFile: cannot open " + path);
   saveWeights(out, net);
@@ -64,7 +64,7 @@ void loadWeightsFile(const std::string& path, QNetwork& net) {
   loadWeights(in, net);
 }
 
-void saveAgent(const std::string& path, DqnAgent& agent) {
+void saveAgent(const std::string& path, const DqnAgent& agent) {
   saveWeightsFile(path, agent.online());
 }
 

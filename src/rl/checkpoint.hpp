@@ -16,8 +16,8 @@ namespace dqndock::rl {
 
 /// Serialize every parameter tensor of `net` (order and shapes as
 /// returned by parameters()).
-void saveWeights(std::ostream& out, QNetwork& net);
-void saveWeightsFile(const std::string& path, QNetwork& net);
+void saveWeights(std::ostream& out, const QNetwork& net);
+void saveWeightsFile(const std::string& path, const QNetwork& net);
 
 /// Restore into an identically-architected network. Throws
 /// std::runtime_error on magic/shape mismatch or truncation.
@@ -26,7 +26,7 @@ void loadWeightsFile(const std::string& path, QNetwork& net);
 
 /// Agent-level convenience: saves the online network; load restores the
 /// online network and re-syncs the target.
-void saveAgent(const std::string& path, DqnAgent& agent);
+void saveAgent(const std::string& path, const DqnAgent& agent);
 void loadAgent(const std::string& path, DqnAgent& agent);
 
 }  // namespace dqndock::rl

@@ -99,7 +99,7 @@ int DqnAgent::selectActionSoftmax(std::span<const double> state, double temperat
 void DqnAgent::syncTarget() { target_->copyWeightsFrom(*online_); }
 
 namespace {
-void polyakUpdate(QNetwork& target, QNetwork& online, double tau) {
+void polyakUpdate(QNetwork& target, const QNetwork& online, double tau) {
   const auto dst = target.parameters();
   const auto src = online.parameters();
   for (std::size_t i = 0; i < dst.size(); ++i) {

@@ -6,7 +6,7 @@ namespace dqndock::rl {
 
 std::size_t QNetwork::parameterCountTotal() const {
   std::size_t n = 0;
-  for (const nn::Tensor* t : const_cast<QNetwork*>(this)->parameters()) n += t->size();
+  for (const nn::Tensor* t : parameters()) n += t->size();
   return n;
 }
 
@@ -168,6 +168,21 @@ std::vector<nn::Tensor*> DuelingQNetwork::parameters() {
   return out;
 }
 
+std::vector<const nn::Tensor*> DuelingQNetwork::parameters() const {
+  std::vector<const nn::Tensor*> out;
+  for (const auto& layer : trunk_) {
+    out.push_back(&layer.weights());
+    out.push_back(&layer.bias());
+  }
+  // Through const references: the heads' unique_ptrs would hand out the
+  // mutable accessors, which mark the weights changed.
+  for (const nn::DenseLayer* head : {valueHead_.get(), advHead_.get()}) {
+    out.push_back(&head->weights());
+    out.push_back(&head->bias());
+  }
+  return out;
+}
+
 std::vector<nn::Tensor*> DuelingQNetwork::gradients() {
   std::vector<nn::Tensor*> out;
   for (auto& layer : trunk_) {
@@ -195,7 +210,7 @@ void DuelingQNetwork::copyWeightsFrom(const QNetwork& other) {
   const auto* src = dynamic_cast<const DuelingQNetwork*>(&other);
   if (!src) throw std::invalid_argument("DuelingQNetwork::copyWeightsFrom: type mismatch");
   auto dstParams = parameters();
-  auto srcParams = const_cast<DuelingQNetwork*>(src)->parameters();
+  const auto srcParams = src->parameters();
   if (dstParams.size() != srcParams.size()) {
     throw std::invalid_argument("DuelingQNetwork::copyWeightsFrom: layer mismatch");
   }

@@ -37,7 +37,12 @@ class QNetwork {
   virtual void backward(const nn::Tensor& dq) = 0;
 
   virtual void zeroGrad() = 0;
+  /// Mutable walk (optimizer steps, weight restores): marks the weights
+  /// changed, so a folded input layer refolds.
   virtual std::vector<nn::Tensor*> parameters() = 0;
+  /// Read-only walk in the same order (polyak source, checkpoint save);
+  /// leaves the fold cache current.
+  virtual std::vector<const nn::Tensor*> parameters() const = 0;
   virtual std::vector<nn::Tensor*> gradients() = 0;
 
   /// Deep copy with identical weights (target-network construction).
@@ -82,6 +87,7 @@ class MlpQNetwork final : public QNetwork {
   void backward(const nn::Tensor& dq) override { net_.backward(dq); }
   void zeroGrad() override { net_.zeroGrad(); }
   std::vector<nn::Tensor*> parameters() override { return net_.parameters(); }
+  std::vector<const nn::Tensor*> parameters() const override { return net_.parameters(); }
   std::vector<nn::Tensor*> gradients() override { return net_.gradients(); }
   std::unique_ptr<QNetwork> clone() const override;
   void copyWeightsFrom(const QNetwork& other) override;
@@ -118,6 +124,7 @@ class DuelingQNetwork final : public QNetwork {
   void backward(const nn::Tensor& dq) override;
   void zeroGrad() override;
   std::vector<nn::Tensor*> parameters() override;
+  std::vector<const nn::Tensor*> parameters() const override;
   std::vector<nn::Tensor*> gradients() override;
   std::unique_ptr<QNetwork> clone() const override;
   void copyWeightsFrom(const QNetwork& other) override;

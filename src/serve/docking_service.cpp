@@ -29,8 +29,9 @@ DockingService::DockingService(const chem::Scenario& scenario, ModelRegistry& re
       // Fold the constant receptor block out of every published network
       // before any worker serves traffic: batched and single-state
       // inference then both ride the small dynamic-column GEMM, and each
-      // hot-swapped model version folds lazily exactly once.
-      foldActive_(options_.foldStatic.value_or(nn::foldStaticEnabled()) &&
+      // hot-swapped model version folds lazily exactly once. The
+      // DQNDOCK_FOLD_STATIC gate (default on) is the one switch.
+      foldActive_(nn::foldStaticEnabled() &&
                   encoder_.staticPrefixLen() > 0 &&
                   registry.enableStaticPrefixFold(encoder_.staticPrefix())),
       batcher_(

@@ -14,7 +14,6 @@
 /// so a stuck or abandoned request never pins a worker.
 
 #include <memory>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -37,11 +36,6 @@ struct ServiceOptions {
   bool normalizeStates = true;
   metadock::EnvConfig env;     ///< per-worker environment config (scoring runs serially)
   BatcherOptions batcher;
-  /// Static-prefix fold override; unset defers to the
-  /// DQNDOCK_FOLD_STATIC environment gate (default on). Inert when the
-  /// state mode has no constant prefix or the registry's architecture
-  /// rejects folding.
-  std::optional<bool> foldStatic{};
 };
 
 /// Roll the registry policy out from the scenario's initial pose.

@@ -11,10 +11,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -651,6 +653,68 @@ TEST(FoldStaticFusedDot, FusedTwinMatchesTheLazyRefoldOracle) {
     ASSERT_EQ(pf.size(), po.size());
     for (std::size_t i = 0; i < pf.size(); ++i) {
       expectBitwise(*pf[i], *po[i], "param " + std::to_string(i));
+    }
+  }
+}
+
+TEST(FoldStaticFusedDot, ReadOnlyWalksLeaveTheOnlineFoldCurrent) {
+  // A polyak update reads the online net and a checkpoint save reads
+  // the net it writes out; neither may cost the online input layer a W_s
+  // sweep. Only the first forward folds, however many learn calls and
+  // saves follow. The oracle twin takes the mutable walk after every
+  // learn call, so it sweeps W_s at each next forward, and must agree
+  // bit for bit.
+  const std::size_t kDim = 40, kStatic = 28;
+  const int kLearns = 12;
+  const auto prefix = makePrefix(kStatic, 11);
+
+  rl::DqnConfig config;
+  config.batchSize = 16;
+  config.hiddenSizes = {16, 16};
+  config.polyakTau = 0.01;
+
+  Rng rngA(7), rngB(7);
+  rl::DqnAgent kept(kDim, 4, config, rngA);
+  rl::DqnAgent oracle(kDim, 4, config, rngB);
+  ASSERT_TRUE(kept.enableStaticPrefixFold(prefix));
+  ASSERT_TRUE(oracle.enableStaticPrefixFold(prefix));
+
+  rl::ReplayBuffer replay(128, kDim);
+  Rng fill(99);
+  std::vector<double> s(kDim), s2(kDim);
+  for (int i = 0; i < 64; ++i) {
+    for (std::size_t c = 0; c < kDim; ++c) {
+      s[c] = c < kStatic ? prefix[c] : fill.uniform();
+      s2[c] = c < kStatic ? prefix[c] : fill.uniform();
+    }
+    replay.push(s, static_cast<int>(fill.uniformInt(4)), fill.uniform(), s2, (i % 9) == 0);
+  }
+
+  Rng learnA(13), learnB(13);
+  std::stringstream checkpoint;
+  for (int step = 0; step < kLearns; ++step) {
+    kept.learn(replay, learnA);
+    oracle.learn(replay, learnB);
+    oracle.online().parameters();  // marks the row dots stale
+    if (step == kLearns / 2) rl::saveWeights(checkpoint, kept.online());
+  }
+  EXPECT_EQ(kept.qValues(s), oracle.qValues(s));
+  const auto& keptAgent = std::as_const(kept);
+  const auto& oracleAgent = std::as_const(oracle);
+  auto inputFolds = [](const rl::QNetwork& net) {
+    return inputLayerOf(dynamic_cast<const rl::MlpQNetwork&>(net)).foldCount();
+  };
+  EXPECT_EQ(inputFolds(keptAgent.online()), 1u);
+  EXPECT_EQ(inputFolds(oracleAgent.online()), static_cast<std::uint64_t>(kLearns) + 1);
+  for (const auto& [k, o] : {std::pair{&keptAgent.online(), &oracleAgent.online()},
+                             std::pair{&keptAgent.target(), &oracleAgent.target()}}) {
+    const auto pk = k->parameters();
+    const auto po = o->parameters();
+    ASSERT_EQ(pk.size(), po.size());
+    for (std::size_t i = 0; i < pk.size(); ++i) {
+      ASSERT_EQ(pk[i]->size(), po[i]->size());
+      EXPECT_EQ(std::memcmp(pk[i]->data(), po[i]->data(), pk[i]->size() * sizeof(double)), 0)
+          << "param " << i;
     }
   }
 }

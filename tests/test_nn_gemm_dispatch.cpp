@@ -2,14 +2,14 @@
 // KernelDispatch suites): generic-tier bit-identity with the pre-dispatch
 // kernels, cross-tier agreement on paper Table 1 shapes, per-tier
 // bit-determinism across thread pools and repeated runs, fused-epilogue
-// equivalence, the pinned zero-skip semantics on non-finite inputs, and
-// the DQNDOCK_FORCE_KERNEL error contract — plus an end-to-end
-// DqnAgent::learn weight-trajectory determinism check per tier.
+// equivalence and the pinned zero-skip semantics on non-finite inputs —
+// plus an end-to-end DqnAgent::learn weight-trajectory determinism check
+// per tier. The tier probe and the DQNDOCK_FORCE_KERNEL error contract
+// live in test_cpu_tier.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,29 +19,13 @@
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/nn/gemm.hpp"
-#include "src/nn/gemm_kernels.hpp"
 #include "src/nn/tensor.hpp"
 #include "src/rl/dqn_agent.hpp"
 #include "src/rl/replay_buffer.hpp"
+#include "tests/cpu_tier_guard.hpp"
 
 namespace dqndock::nn {
 namespace {
-
-/// Pin a tier for one scope, restoring the previously active tier after.
-class TierGuard {
- public:
-  explicit TierGuard(GemmTier tier) : previous_(gemmKernelTier()) { setGemmKernelTier(tier); }
-  ~TierGuard() { setGemmKernelTier(previous_); }
-
- private:
-  GemmTier previous_;
-};
-
-std::vector<GemmTier> supportedTiers() {
-  std::vector<GemmTier> tiers = {GemmTier::kGeneric};
-  if (gemmTierSupported(GemmTier::kAvx512)) tiers.push_back(GemmTier::kAvx512);
-  return tiers;
-}
 
 Tensor randomTensor(std::size_t r, std::size_t c, Rng& rng) {
   Tensor t(r, c);
@@ -132,21 +116,8 @@ const Shape kSmallShapes[] = {{1, 1, 1},   {2, 3, 4},    {7, 5, 3},
 // batch 32): the three shapes the learn phase actually runs.
 const Shape kPaperAbtShapes[] = {{32, 16599, 135}, {32, 135, 135}, {32, 135, 12}};
 
-TEST(GemmKernelDispatchTest, ProbeSelectsBestSupportedTier) {
-  const GemmTier probed = probeGemmTier();
-  EXPECT_TRUE(gemmTierSupported(probed));
-  if (gemmTierSupported(GemmTier::kAvx512)) {
-    EXPECT_EQ(probed, GemmTier::kAvx512);
-  } else {
-    EXPECT_EQ(probed, GemmTier::kGeneric);
-  }
-  EXPECT_TRUE(gemmTierCompiled(GemmTier::kGeneric));
-  EXPECT_STREQ(gemmTierName(GemmTier::kGeneric), "generic");
-  EXPECT_STREQ(gemmTierName(GemmTier::kAvx512), "avx512");
-}
-
 TEST(GemmKernelDispatchTest, GenericBitIdenticalToPreDispatchKernels) {
-  TierGuard guard(GemmTier::kGeneric);
+  CpuTierGuard guard(CpuTier::kGeneric);
   ThreadPool pool(2);
   int seed = 100;
   for (const auto& [m, k, n] : kSmallShapes) {
@@ -175,8 +146,8 @@ TEST(GemmKernelDispatchTest, GenericBitIdenticalToPreDispatchKernels) {
 }
 
 TEST(GemmKernelDispatchTest, FusedEpilogueMatchesSeparatePasses) {
-  for (GemmTier tier : supportedTiers()) {
-    TierGuard guard(tier);
+  for (CpuTier tier : supportedCpuTiers()) {
+    CpuTierGuard guard(tier);
     Rng rng(41);
     const Tensor x = randomTensor(9, 33, rng);
     const Tensor w = randomTensor(70, 33, rng);
@@ -202,7 +173,7 @@ TEST(GemmKernelDispatchTest, FusedEpilogueMatchesSeparatePasses) {
     epilogue.relu = true;
     epilogue.reluMask = &mask;
     gemmABt(x, w, fused, nullptr, epilogue);
-    const std::string tag = std::string("fused epilogue, tier ") + gemmTierName(tier);
+    const std::string tag = std::string("fused epilogue, tier ") + cpuTierName(tier);
     expectBitEqual(fused, expect, tag);
     expectBitEqual(mask, expectMask, tag + " (mask)");
 
@@ -223,7 +194,7 @@ TEST(GemmKernelDispatchTest, FusedEpilogueMatchesSeparatePasses) {
 }
 
 TEST(GemmKernelDispatchTest, ForcedTiersAgreeOnPaperShapes) {
-  if (!gemmTierSupported(GemmTier::kAvx512)) {
+  if (!cpuTierSupported(CpuTier::kAvx512)) {
     GTEST_SKIP() << "host cannot run the avx512 tier";
   }
   int seed = 7;
@@ -233,11 +204,11 @@ TEST(GemmKernelDispatchTest, ForcedTiersAgreeOnPaperShapes) {
     const Tensor w = randomTensor(n, k, rng);
     Tensor generic, avx512;
     {
-      TierGuard guard(GemmTier::kGeneric);
+      CpuTierGuard guard(CpuTier::kGeneric);
       gemmABt(x, w, generic);
     }
     {
-      TierGuard guard(GemmTier::kAvx512);
+      CpuTierGuard guard(CpuTier::kAvx512);
       gemmABt(x, w, avx512);
     }
     expectRelClose(generic, avx512, 1e-12, "gemmABt tier agreement");
@@ -250,12 +221,12 @@ TEST(GemmKernelDispatchTest, ForcedTiersAgreeOnPaperShapes) {
   const Tensor xin = randomTensor(32, 16599, rng);
   Tensor dxG, dxV, dwG(135, 16599, 0.25), dwV(135, 16599, 0.25);
   {
-    TierGuard guard(GemmTier::kGeneric);
+    CpuTierGuard guard(CpuTier::kGeneric);
     gemmAB(dy, w0, dxG);
     gemmAtBAccum(dy, xin, dwG);
   }
   {
-    TierGuard guard(GemmTier::kAvx512);
+    CpuTierGuard guard(CpuTier::kAvx512);
     gemmAB(dy, w0, dxV);
     gemmAtBAccum(dy, xin, dwV);
   }
@@ -264,8 +235,8 @@ TEST(GemmKernelDispatchTest, ForcedTiersAgreeOnPaperShapes) {
 }
 
 TEST(GemmKernelDispatchTest, BitIdenticalAcrossThreadCountsAndRuns) {
-  for (GemmTier tier : supportedTiers()) {
-    TierGuard guard(tier);
+  for (CpuTier tier : supportedCpuTiers()) {
+    CpuTierGuard guard(tier);
     Rng rng(500 + static_cast<int>(tier));
     // 33 rows: 8 full 4-row tiles + remainder; 137/70 columns straddle
     // the avx512 64-col strips and masked 8-lane tails.
@@ -286,7 +257,7 @@ TEST(GemmKernelDispatchTest, BitIdenticalAcrossThreadCountsAndRuns) {
     gemmAB(dy, wB, refAb);
     gemmAtBAccum(at, bt, refAtb);
 
-    const std::string tag = std::string("thread determinism, tier ") + gemmTierName(tier);
+    const std::string tag = std::string("thread determinism, tier ") + cpuTierName(tier);
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
       for (int repeat = 0; repeat < 2; ++repeat) {
@@ -303,7 +274,7 @@ TEST(GemmKernelDispatchTest, BitIdenticalAcrossThreadCountsAndRuns) {
 }
 
 TEST(GemmKernelDispatchTest, ProbedMatchesForcedAvx512) {
-  if (probeGemmTier() != GemmTier::kAvx512) {
+  if (probeCpuTier() != CpuTier::kAvx512) {
     GTEST_SKIP() << "probe does not select avx512 on this host";
   }
   Rng rng(9);
@@ -311,11 +282,11 @@ TEST(GemmKernelDispatchTest, ProbedMatchesForcedAvx512) {
   const Tensor w = randomTensor(30, 200, rng);
   Tensor probed, forced;
   {
-    TierGuard guard(probeGemmTier());
+    CpuTierGuard guard(probeCpuTier());
     gemmABt(x, w, probed);
   }
   {
-    TierGuard guard(GemmTier::kAvx512);
+    CpuTierGuard guard(CpuTier::kAvx512);
     gemmABt(x, w, forced);
   }
   expectBitEqual(probed, forced, "probed vs forced avx512");
@@ -328,9 +299,9 @@ TEST(GemmKernelDispatchTest, ProbedMatchesForcedAvx512) {
 TEST(GemmKernelDispatchTest, ZeroSkipShieldsNonFiniteRows) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double kNan = std::numeric_limits<double>::quiet_NaN();
-  for (GemmTier tier : supportedTiers()) {
-    TierGuard guard(tier);
-    const std::string tag = std::string("zero-skip, tier ") + gemmTierName(tier);
+  for (CpuTier tier : supportedCpuTiers()) {
+    CpuTierGuard guard(tier);
+    const std::string tag = std::string("zero-skip, tier ") + cpuTierName(tier);
 
     // Row 0 of A is all zero; row 1 hits the poisoned B row with 2.0.
     Tensor a(2, 3);
@@ -359,34 +330,6 @@ TEST(GemmKernelDispatchTest, ZeroSkipShieldsNonFiniteRows) {
       EXPECT_FALSE(std::isfinite(ct(1, j))) << tag << ": non-zero column must propagate";
     }
   }
-}
-
-TEST(GemmKernelDispatchErrorTest, UnknownForceValueThrows) {
-  const char* old = std::getenv("DQNDOCK_FORCE_KERNEL");
-  const std::string saved = old != nullptr ? old : "";
-  setenv("DQNDOCK_FORCE_KERNEL", "turbo9000", 1);
-  EXPECT_THROW(resolveGemmTier(), std::runtime_error);
-  if (old != nullptr) {
-    setenv("DQNDOCK_FORCE_KERNEL", saved.c_str(), 1);
-  } else {
-    unsetenv("DQNDOCK_FORCE_KERNEL");
-  }
-}
-
-TEST(GemmKernelDispatchErrorTest, ForcingUnsupportedTierThrows) {
-  if (gemmTierSupported(GemmTier::kAvx512)) {
-    GTEST_SKIP() << "host supports avx512; cannot exercise the unsupported-force path";
-  }
-  const char* old = std::getenv("DQNDOCK_FORCE_KERNEL");
-  const std::string saved = old != nullptr ? old : "";
-  setenv("DQNDOCK_FORCE_KERNEL", "avx512", 1);
-  EXPECT_THROW(resolveGemmTier(), std::runtime_error);
-  if (old != nullptr) {
-    setenv("DQNDOCK_FORCE_KERNEL", saved.c_str(), 1);
-  } else {
-    unsetenv("DQNDOCK_FORCE_KERNEL");
-  }
-  EXPECT_THROW(setGemmKernelTier(GemmTier::kAvx512), std::runtime_error);
 }
 
 // --- End-to-end learn-phase determinism ------------------------------------
@@ -426,8 +369,8 @@ std::vector<double> learnTrajectory(std::size_t poolThreads) {
 }
 
 TEST(GemmKernelDispatchLearnTest, WeightTrajectoryDeterministicPerTier) {
-  for (GemmTier tier : supportedTiers()) {
-    TierGuard guard(tier);
+  for (CpuTier tier : supportedCpuTiers()) {
+    CpuTierGuard guard(tier);
     const std::vector<double> serial = learnTrajectory(0);
     ASSERT_FALSE(serial.empty());
     for (const std::size_t threads : {0u, 2u, 8u}) {
@@ -435,7 +378,7 @@ TEST(GemmKernelDispatchLearnTest, WeightTrajectoryDeterministicPerTier) {
       ASSERT_EQ(run.size(), serial.size());
       for (std::size_t i = 0; i < run.size(); ++i) {
         ASSERT_EQ(run[i], serial[i])
-            << "tier " << gemmTierName(tier) << ", threads " << threads
+            << "tier " << cpuTierName(tier) << ", threads " << threads
             << ": weight trajectory diverged at parameter " << i;
       }
     }

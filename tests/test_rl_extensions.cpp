@@ -1,22 +1,17 @@
 // Tests for the RL extensions: Boltzmann exploration, Polyak target
-// updates, the observation-noise decorator and policy evaluation.
+// updates and policy evaluation.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
 #include "src/core/evaluation.hpp"
-#include "src/rl/corridor_env.hpp"
-#include "src/rl/noisy_env.hpp"
 
 namespace dqndock {
 namespace {
 
-using rl::CorridorEnv;
 using rl::DqnAgent;
 using rl::DqnConfig;
-using rl::EnvStep;
-using rl::NoisyObservationEnv;
 
 DqnConfig tinyAgent() {
   DqnConfig cfg;
@@ -90,47 +85,6 @@ TEST(PolyakTest, SoftUpdatesTrackOnline) {
   for (std::size_t i = 0; i < qOnline.size(); ++i) {
     EXPECT_NEAR(qTarget.flat()[i], qOnline.flat()[i], 0.2);
   }
-}
-
-TEST(NoisyEnvTest, ZeroStddevIsTransparent) {
-  CorridorEnv inner(5);
-  NoisyObservationEnv noisy(inner, 0.0);
-  std::vector<double> a, b;
-  noisy.reset(a);
-  CorridorEnv reference(5);
-  reference.reset(b);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(noisy.stateDim(), inner.stateDim());
-  EXPECT_EQ(noisy.actionCount(), inner.actionCount());
-}
-
-TEST(NoisyEnvTest, NoisePerturbsObservationsNotDynamics) {
-  CorridorEnv inner(5);
-  NoisyObservationEnv noisy(inner, 0.1, /*seed=*/9);
-  std::vector<double> state;
-  noisy.reset(state);
-  // Observation is corrupted...
-  double deviation = 0.0;
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    const double clean = (i == 0) ? 1.0 : 0.0;
-    deviation += std::fabs(state[i] - clean);
-  }
-  EXPECT_GT(deviation, 1e-6);
-  // ...but the underlying dynamics are intact: walking right still
-  // terminates with +1 after length-1 steps.
-  EnvStep r{};
-  for (int i = 0; i < 4; ++i) r = noisy.step(1, state);
-  EXPECT_TRUE(r.terminal);
-  EXPECT_DOUBLE_EQ(r.reward, 1.0);
-}
-
-TEST(NoisyEnvTest, DeterministicInSeed) {
-  CorridorEnv innerA(5), innerB(5);
-  NoisyObservationEnv a(innerA, 0.2, 42), b(innerB, 0.2, 42);
-  std::vector<double> sa, sb;
-  a.reset(sa);
-  b.reset(sb);
-  EXPECT_EQ(sa, sb);
 }
 
 TEST(EvaluationTest, ReportsCoherentMetrics) {

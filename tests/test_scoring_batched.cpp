@@ -7,14 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "src/chem/synthetic.hpp"
 #include "src/metadock/evaluator.hpp"
 #include "src/metadock/scoring.hpp"
-#include "src/metadock/scoring_kernels.hpp"
+#include "tests/cpu_tier_guard.hpp"
 
 namespace dqndock::metadock {
 namespace {
@@ -208,63 +206,17 @@ TEST(BatchedScoringPaperTest, MatchesPerPoseOnPaper2BSM) {
 
 // -- Runtime kernel dispatch matrix ------------------------------------------
 
-/// RAII DQNDOCK_FORCE_KERNEL pin. Tier selection happens once inside the
-/// ScoringFunction constructor, so each forced instance must be built
-/// while the pin is live. setenv is safe here: these tests spawn no
-/// concurrent getenv readers.
-class ScopedForceKernel {
- public:
-  explicit ScopedForceKernel(const char* value) {
-    const char* prev = std::getenv("DQNDOCK_FORCE_KERNEL");
-    if (prev != nullptr) {
-      hadPrev_ = true;
-      prev_ = prev;
-    }
-    ::setenv("DQNDOCK_FORCE_KERNEL", value, /*overwrite=*/1);
-  }
-  ~ScopedForceKernel() {
-    if (hadPrev_) {
-      ::setenv("DQNDOCK_FORCE_KERNEL", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("DQNDOCK_FORCE_KERNEL");
-    }
-  }
-  ScopedForceKernel(const ScopedForceKernel&) = delete;
-  ScopedForceKernel& operator=(const ScopedForceKernel&) = delete;
-
- private:
-  bool hadPrev_ = false;
-  std::string prev_;
-};
-
-std::vector<KernelTier> supportedTiers() {
-  std::vector<KernelTier> tiers{KernelTier::kGeneric};
-  if (kernelTierSupported(KernelTier::kAvx512)) tiers.push_back(KernelTier::kAvx512);
-  return tiers;
-}
-
 class KernelDispatchFixture : public BatchedScoringFixture {};
-
-TEST_F(KernelDispatchFixture, ProbeSelectsBestSupportedTier) {
-  ScopedForceKernel unset("");
-  ::unsetenv("DQNDOCK_FORCE_KERNEL");
-  const KernelTier probed = probeKernelTier();
-  EXPECT_EQ(probed, kernelTierSupported(KernelTier::kAvx512) ? KernelTier::kAvx512
-                                                             : KernelTier::kGeneric);
-  EXPECT_EQ(resolveKernelTier(), probed);
-  ScoringFunction sf(receptor_, ligand_, {});
-  EXPECT_EQ(sf.kernelTier(), probed);
-}
 
 TEST_F(KernelDispatchFixture, EquivalenceSuitePerForcedTier) {
   // The full batched-vs-per-pose contract must hold under every tier the
   // host can run, not just the probed one.
   const auto poses = randomPoses(receptor_, ligand_, 33, 15.0, 41);
-  for (const KernelTier tier : supportedTiers()) {
-    ScopedForceKernel force(kernelTierName(tier));
+  for (const CpuTier tier : supportedCpuTiers()) {
+    CpuTierGuard pin(tier);
     ScoringFunction sf(receptor_, ligand_, {});
     ASSERT_EQ(sf.kernelTier(), tier);
-    expectBatchMatchesPerPose(sf, poses, kernelTierName(tier));
+    expectBatchMatchesPerPose(sf, poses, cpuTierName(tier));
   }
 }
 
@@ -273,8 +225,8 @@ TEST_F(KernelDispatchFixture, BitDeterministicPerTierAcrossSplits) {
   // bit-identical per-pose scores (the cross-thread guarantee reduces to
   // this, since worker threads chunk batches).
   const auto poses = randomPoses(receptor_, ligand_, 33, 15.0, 43);
-  for (const KernelTier tier : supportedTiers()) {
-    ScopedForceKernel force(kernelTierName(tier));
+  for (const CpuTier tier : supportedCpuTiers()) {
+    CpuTierGuard pin(tier);
     ScoringFunction sf(receptor_, ligand_, {});
     ScoringFunction::BatchScratch scratch;
     std::vector<double> whole(poses.size());
@@ -288,7 +240,7 @@ TEST_F(KernelDispatchFixture, BitDeterministicPerTierAcrossSplits) {
       }
       for (std::size_t i = 0; i < poses.size(); ++i) {
         EXPECT_EQ(pieces[i], whole[i])
-            << kernelTierName(tier) << " pose " << i << " (split " << split << ")";
+            << cpuTierName(tier) << " pose " << i << " (split " << split << ")";
       }
     }
   }
@@ -299,7 +251,7 @@ TEST(KernelDispatchPaperTest, ForcedTiersAgreeOnPaper2BSM) {
   // relative on the paper's full-size scenario. The per-pose sweep is
   // bit-identical across tiers; only the batched AVX-512 sweep (rsqrt +
   // Newton-Raphson) may differ from generic in the last bits.
-  if (!kernelTierSupported(KernelTier::kAvx512)) {
+  if (!cpuTierSupported(CpuTier::kAvx512)) {
     GTEST_SKIP() << "host has no AVX-512F; single-tier machine";
   }
   const chem::Scenario sc = chem::buildScenario(chem::ScenarioSpec::paper2bsm());
@@ -307,16 +259,16 @@ TEST(KernelDispatchPaperTest, ForcedTiersAgreeOnPaper2BSM) {
   LigandModel ligand(sc.ligand);
   const auto poses = randomPoses(receptor, ligand, 32, 25.0, 11);
 
-  auto scoresForTier = [&](const char* tier) {
-    ScopedForceKernel force(tier);
+  auto scoresForTier = [&](CpuTier tier) {
+    CpuTierGuard pin(tier);
     ScoringFunction sf(receptor, ligand, {});
     ScoringFunction::BatchScratch scratch;
     std::vector<double> out(poses.size());
     sf.scoreBatch(poses, scratch, out);
     return out;
   };
-  const std::vector<double> generic = scoresForTier("generic");
-  const std::vector<double> avx512 = scoresForTier("avx512");
+  const std::vector<double> generic = scoresForTier(CpuTier::kGeneric);
+  const std::vector<double> avx512 = scoresForTier(CpuTier::kAvx512);
   for (std::size_t i = 0; i < poses.size(); ++i) {
     EXPECT_NEAR(avx512[i], generic[i], tol(generic[i])) << "pose " << i;
   }
@@ -324,21 +276,16 @@ TEST(KernelDispatchPaperTest, ForcedTiersAgreeOnPaper2BSM) {
   // The probed tier on an AVX-512 host IS the avx512 tier, dispatched to
   // the same TU the compile-time (-march=native) build used to select —
   // so probed scores are bit-identical to forced-avx512 scores.
-  ScopedForceKernel unset("");
-  ::unsetenv("DQNDOCK_FORCE_KERNEL");
-  ScoringFunction probedSf(receptor, ligand, {});
-  ASSERT_EQ(probedSf.kernelTier(), KernelTier::kAvx512);
-  ScoringFunction::BatchScratch scratch;
-  std::vector<double> probed(poses.size());
-  probedSf.scoreBatch(poses, scratch, probed);
+  ASSERT_EQ(probeCpuTier(), CpuTier::kAvx512);
+  const std::vector<double> probed = scoresForTier(probeCpuTier());
   for (std::size_t i = 0; i < poses.size(); ++i) {
     EXPECT_EQ(probed[i], avx512[i]) << "pose " << i << " (probed vs forced avx512)";
   }
 
   // Per-pose (non-batched) sweeps share one IEEE-only body across tiers:
   // bit-identical, not merely within tolerance.
-  auto perPoseForTier = [&](const char* tier) {
-    ScopedForceKernel force(tier);
+  auto perPoseForTier = [&](CpuTier tier) {
+    CpuTierGuard pin(tier);
     ScoringFunction sf(receptor, ligand, {});
     std::vector<Vec3> pos;
     std::vector<double> out;
@@ -348,34 +295,11 @@ TEST(KernelDispatchPaperTest, ForcedTiersAgreeOnPaper2BSM) {
     }
     return out;
   };
-  const std::vector<double> perPoseGeneric = perPoseForTier("generic");
-  const std::vector<double> perPoseAvx512 = perPoseForTier("avx512");
+  const std::vector<double> perPoseGeneric = perPoseForTier(CpuTier::kGeneric);
+  const std::vector<double> perPoseAvx512 = perPoseForTier(CpuTier::kAvx512);
   for (std::size_t i = 0; i < poses.size(); ++i) {
     EXPECT_EQ(perPoseAvx512[i], perPoseGeneric[i]) << "pose " << i << " (per-pose sweep)";
   }
-}
-
-TEST(KernelDispatchErrorTest, UnknownForceValueThrows) {
-  const chem::Scenario sc = chem::buildScenario(chem::ScenarioSpec::tiny());
-  ReceptorModel receptor(sc.receptor, 12.0);
-  LigandModel ligand(sc.ligand);
-  ScopedForceKernel force("sse9000");
-  EXPECT_THROW(ScoringFunction(receptor, ligand, {}), std::runtime_error);
-}
-
-TEST(KernelDispatchErrorTest, ForcingUnsupportedTierThrows) {
-  // A forced tier must never silently fall back. Only runnable as a
-  // real check on non-AVX-512 hosts; elsewhere verify the support query
-  // agrees with the compile gate.
-  if (kernelTierSupported(KernelTier::kAvx512)) {
-    EXPECT_TRUE(kernelTierCompiled(KernelTier::kAvx512));
-    GTEST_SKIP() << "host supports avx512; cannot exercise the rejection path";
-  }
-  const chem::Scenario sc = chem::buildScenario(chem::ScenarioSpec::tiny());
-  ReceptorModel receptor(sc.receptor, 12.0);
-  LigandModel ligand(sc.ligand);
-  ScopedForceKernel force("avx512");
-  EXPECT_THROW(ScoringFunction(receptor, ligand, {}), std::runtime_error);
 }
 
 TEST(BatchedScoringErrorTest, SizeMismatchThrows) {

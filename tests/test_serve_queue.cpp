@@ -11,6 +11,7 @@
 #include <cstring>
 #include <functional>
 #include <thread>
+#include <utility>
 
 #include "src/chem/synthetic.hpp"
 #include "src/common/thread_pool.hpp"
@@ -131,6 +132,9 @@ class GatedNet : public rl::QNetwork {
   void backward(const nn::Tensor& dq) override { inner_->backward(dq); }
   void zeroGrad() override { inner_->zeroGrad(); }
   std::vector<nn::Tensor*> parameters() override { return inner_->parameters(); }
+  std::vector<const nn::Tensor*> parameters() const override {
+    return std::as_const(*inner_).parameters();
+  }
   std::vector<nn::Tensor*> gradients() override { return inner_->gradients(); }
   std::unique_ptr<rl::QNetwork> clone() const override { return inner_->clone(); }
   void copyWeightsFrom(const rl::QNetwork& other) override { inner_->copyWeightsFrom(other); }
