@@ -4,9 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "src/chem/synthetic.hpp"
@@ -18,38 +16,6 @@
 
 namespace dqndock {
 namespace {
-
-/// RAII DQNDOCK_FORCE_KERNEL value (nullptr unsets it), restored on
-/// scope exit. setenv is safe here: these tests spawn no concurrent
-/// getenv readers.
-class ScopedForceKernelEnv {
- public:
-  explicit ScopedForceKernelEnv(const char* value) {
-    if (const char* prev = std::getenv(kVar)) {
-      hadPrev_ = true;
-      prev_ = prev;
-    }
-    if (value != nullptr) {
-      ::setenv(kVar, value, /*overwrite=*/1);
-    } else {
-      ::unsetenv(kVar);
-    }
-  }
-  ~ScopedForceKernelEnv() {
-    if (hadPrev_) {
-      ::setenv(kVar, prev_.c_str(), 1);
-    } else {
-      ::unsetenv(kVar);
-    }
-  }
-  ScopedForceKernelEnv(const ScopedForceKernelEnv&) = delete;
-  ScopedForceKernelEnv& operator=(const ScopedForceKernelEnv&) = delete;
-
- private:
-  static constexpr const char* kVar = "DQNDOCK_FORCE_KERNEL";
-  bool hadPrev_ = false;
-  std::string prev_;
-};
 
 TEST(CpuTierTest, ProbeSelectsBestSupportedTier) {
   const CpuTier probed = probeCpuTier();

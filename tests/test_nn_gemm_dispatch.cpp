@@ -4,14 +4,17 @@
 // bit-determinism across thread pools and repeated runs, fused-epilogue
 // equivalence and the pinned zero-skip semantics on non-finite inputs —
 // plus an end-to-end DqnAgent::learn weight-trajectory determinism check
-// per tier. The tier probe and the DQNDOCK_FORCE_KERNEL error contract
-// live in test_cpu_tier.
+// per tier. The probe and DQNDOCK_FORCE_KERNEL checks here are what a
+// process's first GEMM decides; the parser itself is tested in
+// test_cpu_tier.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/nn/gemm.hpp"
+#include "src/nn/gemm_kernels.hpp"
 #include "src/nn/tensor.hpp"
 #include "src/rl/dqn_agent.hpp"
 #include "src/rl/replay_buffer.hpp"
@@ -115,6 +119,41 @@ const Shape kSmallShapes[] = {{1, 1, 1},   {2, 3, 4},    {7, 5, 3},
 // Paper Table 1 dims (2BSM state 16599, two 135-unit hidden layers,
 // batch 32): the three shapes the learn phase actually runs.
 const Shape kPaperAbtShapes[] = {{32, 16599, 135}, {32, 135, 135}, {32, 135, 12}};
+
+TEST(GemmKernelDispatchTest, ProbeSelectsBestSupportedTier) {
+  // With no override, a process's first GEMM runs the best tier the
+  // probe finds, and the bench host stamp (resolveGemmTier) names it. On
+  // an AVX-512 host the two tiers round this input differently, so the
+  // bitwise match below tells which kernel ran.
+  const CpuTier best = cpuTierSupported(CpuTier::kAvx512) ? CpuTier::kAvx512 : CpuTier::kGeneric;
+  EXPECT_EQ(probeCpuTier(), best);
+  EXPECT_STREQ(gemmTierName(CpuTier::kGeneric), "generic");
+  EXPECT_STREQ(gemmTierName(CpuTier::kAvx512), "avx512");
+  ScopedForceKernelEnv env(nullptr);
+  Rng rng(3);
+  const Tensor a = randomTensor(5, 70, rng);
+  const Tensor b = randomTensor(33, 70, rng);
+  expectInFreshProcess([&] {
+    Tensor dispatched;
+    gemmABt(a, b, dispatched);
+    Tensor direct(a.rows(), b.rows());
+    detail::gemmKernelOps(best).abtRows(a.data(), b.data(), direct.data(), 0, a.rows(), b.rows(),
+                                        a.cols(), nullptr, false, nullptr);
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      if (dispatched.data()[i] != direct.data()[i]) {
+        std::fprintf(stderr, "first GEMM did not run the %s kernel (index %zu)\n",
+                     gemmTierName(best), i);
+        return false;
+      }
+    }
+    if (resolveGemmTier() != best) {
+      std::fprintf(stderr, "bench stamp reports %s, not %s\n", gemmTierName(resolveGemmTier()),
+                   gemmTierName(best));
+      return false;
+    }
+    return true;
+  });
+}
 
 TEST(GemmKernelDispatchTest, GenericBitIdenticalToPreDispatchKernels) {
   CpuTierGuard guard(CpuTier::kGeneric);
@@ -330,6 +369,29 @@ TEST(GemmKernelDispatchTest, ZeroSkipShieldsNonFiniteRows) {
       EXPECT_FALSE(std::isfinite(ct(1, j))) << tag << ": non-zero column must propagate";
     }
   }
+}
+
+TEST(GemmKernelDispatchErrorTest, UnknownForceValueThrows) {
+  // An unknown DQNDOCK_FORCE_KERNEL name fails a process's first GEMM
+  // instead of falling back to the probe. No tier becomes active, so the
+  // bench host stamp (resolveGemmTier) keeps failing too.
+  ScopedForceKernelEnv env("turbo9000");
+  const Tensor a(2, 3, 1.0), b(4, 3, 1.0);
+  expectInFreshProcess([&] {
+    auto rejects = [](const char* what, auto&& call) {
+      try {
+        call();
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()).find("turbo9000") != std::string::npos) return true;
+      }
+      std::fprintf(stderr, "%s did not reject DQNDOCK_FORCE_KERNEL=turbo9000\n", what);
+      return false;
+    };
+    Tensor out;
+    const bool gemm = rejects("first GEMM", [&] { gemmABt(a, b, out); });
+    const bool stamp = rejects("resolveGemmTier", [] { resolveGemmTier(); });
+    return gemm && stamp;
+  });
 }
 
 // --- End-to-end learn-phase determinism ------------------------------------

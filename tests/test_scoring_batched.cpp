@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/chem/synthetic.hpp"
 #include "src/metadock/evaluator.hpp"
 #include "src/metadock/scoring.hpp"
+#include "src/metadock/scoring_kernels.hpp"
 #include "tests/cpu_tier_guard.hpp"
 
 namespace dqndock::metadock {
@@ -208,6 +212,25 @@ TEST(BatchedScoringPaperTest, MatchesPerPoseOnPaper2BSM) {
 
 class KernelDispatchFixture : public BatchedScoringFixture {};
 
+TEST_F(KernelDispatchFixture, ProbeSelectsBestSupportedTier) {
+  // With no override, a process's first ScoringFunction takes the best
+  // tier the probe finds, and the bench host stamp (resolveKernelTier)
+  // names it.
+  const CpuTier best = cpuTierSupported(CpuTier::kAvx512) ? CpuTier::kAvx512 : CpuTier::kGeneric;
+  EXPECT_EQ(probeCpuTier(), best);
+  ScopedForceKernelEnv env(nullptr);
+  expectInFreshProcess([&] {
+    const ScoringFunction sf(receptor_, ligand_, {});
+    if (sf.kernelTier() != best || resolveKernelTier() != best) {
+      std::fprintf(stderr, "ScoringFunction took %s, bench stamp reports %s, best is %s\n",
+                   kernelTierName(sf.kernelTier()), kernelTierName(resolveKernelTier()),
+                   kernelTierName(best));
+      return false;
+    }
+    return true;
+  });
+}
+
 TEST_F(KernelDispatchFixture, EquivalenceSuitePerForcedTier) {
   // The full batched-vs-per-pose contract must hold under every tier the
   // host can run, not just the probed one.
@@ -300,6 +323,32 @@ TEST(KernelDispatchPaperTest, ForcedTiersAgreeOnPaper2BSM) {
   for (std::size_t i = 0; i < poses.size(); ++i) {
     EXPECT_EQ(perPoseAvx512[i], perPoseGeneric[i]) << "pose " << i << " (per-pose sweep)";
   }
+}
+
+TEST(KernelDispatchErrorTest, UnknownForceValueThrows) {
+  // An unknown DQNDOCK_FORCE_KERNEL name fails a process's first
+  // ScoringFunction instead of falling back to the probe. No tier
+  // becomes active, so the bench host stamp (resolveKernelTier) keeps
+  // failing too.
+  const chem::Scenario sc = chem::buildScenario(chem::ScenarioSpec::tiny());
+  const ReceptorModel receptor(sc.receptor, 12.0);
+  const LigandModel ligand(sc.ligand);
+  ScopedForceKernelEnv env("sse9000");
+  expectInFreshProcess([&] {
+    auto rejects = [](const char* what, auto&& call) {
+      try {
+        call();
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()).find("sse9000") != std::string::npos) return true;
+      }
+      std::fprintf(stderr, "%s did not reject DQNDOCK_FORCE_KERNEL=sse9000\n", what);
+      return false;
+    };
+    const bool scoring =
+        rejects("first ScoringFunction", [&] { const ScoringFunction sf(receptor, ligand, {}); });
+    const bool stamp = rejects("resolveKernelTier", [] { resolveKernelTier(); });
+    return scoring && stamp;
+  });
 }
 
 TEST(BatchedScoringErrorTest, SizeMismatchThrows) {
