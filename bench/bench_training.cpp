@@ -5,14 +5,16 @@
 // this is also pose-evals/second) for sequential and V in {1, 8, 32}
 // during the collect phase (epsilon = 0.05, no SGD: the learn call is
 // identical per transition in both schedules, so collect throughput is
-// where the speedup lives), plus a short learning-phase row at V = 32
-// and a built-in sequential-vs-V=1 bit-identity check.
+// where the speedup lives), plus a short learning-phase row at V = 32,
+// a sustained row that times one long sequential learning run early and
+// late, and a built-in sequential-vs-V=1 bit-identity check.
 //
 // Output is a single JSON object on stdout; scripts/bench_training.py
 // wraps it into BENCH_training.json with the acceptance gate.
 //
 // Usage: bench_training [--episodes=8] [--max-steps=50] [--seed=2018]
-//                       [--replay=512] [--learn-max-steps=10] [--skip-identity]
+//                       [--replay=512] [--learn-max-steps=10]
+//                       [--sustained-learns=18000] [--skip-identity]
 
 #include <cmath>
 #include <cstdio>
@@ -91,6 +93,47 @@ void printMode(const ModeResult& r, bool last) {
               stepsPerSec, stepsPerSec, r.batchedSteps, batchedFraction, last ? "" : ",");
 }
 
+/// Learn calls per second over two windows of one long sequential
+/// learning run of `learns` calls: calls [n/9, 2n/9) and [8n/9, n), so
+/// 2,000-4,000 and 16,000-18,000 at the default n = 18,000. A learn step
+/// that slows as the run goes on (mean squares of idle rows decaying into
+/// subnormals) shows as a late rate below the early one. Windows snap to
+/// episode ends; each rate counts the learn calls between its two ends.
+struct SustainedResult {
+  std::size_t learnCalls = 0;
+  std::size_t episodes = 0;
+  std::size_t edges[4] = {};  ///< learn calls at the window ends
+  double at[4] = {};          ///< seconds into the run at the window ends
+
+  double rate(std::size_t from) const {
+    const double secs = at[from + 1] - at[from];
+    return secs > 0.0 ? static_cast<double>(edges[from + 1] - edges[from]) / secs : 0.0;
+  }
+};
+
+SustainedResult runSustained(const chem::Scenario& scenario, std::size_t learns,
+                             std::size_t maxSteps, std::uint64_t seed,
+                             std::size_t replayCapacity, ThreadPool* pool) {
+  core::DqnDocking system(benchConfig(0, 0, maxSteps, seed, replayCapacity, true), scenario,
+                          pool);
+  const std::size_t targets[4] = {learns / 9, 2 * learns / 9, 8 * learns / 9, learns};
+  SustainedResult r;
+  Stopwatch clock;
+  for (std::size_t k = 0; k < 4;) {
+    system.trainEpisode();
+    ++r.episodes;
+    const std::size_t n = system.agent().learnSteps();
+    for (; k < 4 && n >= targets[k]; ++k) {
+      r.edges[k] = n;
+      r.at[k] = clock.seconds();
+    }
+  }
+  r.learnCalls = r.edges[3];
+  std::fprintf(stderr, "  %-16s episodes=%zu learns=%zu early %.0f/s late %.0f/s\n",
+               "learn-sustained", r.episodes, r.learnCalls, r.rate(0), r.rate(2));
+  return r;
+}
+
 /// Sequential vs V=1 must match bit-for-bit: same episode records, same
 /// final weights (test_vector_env proves it on the scaled task; this
 /// reruns the check on the paper-2BSM geometry the numbers ship from).
@@ -135,6 +178,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2018));
   const auto replayCapacity = static_cast<std::size_t>(args.getInt("replay", 512));
   const auto learnMaxSteps = static_cast<std::size_t>(args.getInt("learn-max-steps", 10));
+  const auto sustainedLearns = static_cast<std::size_t>(args.getInt("sustained-learns", 18000));
   const bool skipIdentity = args.has("skip-identity");
 
   const core::DqnDockingConfig base = core::DqnDockingConfig::paper2bsm();
@@ -170,6 +214,8 @@ int main(int argc, char** argv) {
   ModeResult learnVec = runMode(
       "learn-V=32", scenario,
       benchConfig(32, 32, learnMaxSteps, seed, replayCapacity, true), &pool);
+  const SustainedResult sustained =
+      runSustained(scenario, sustainedLearns, learnMaxSteps, seed, replayCapacity, &pool);
 
   const bool identical = skipIdentity || v1BitIdentical(scenario, seed, &pool);
   if (!skipIdentity) {
@@ -202,6 +248,12 @@ int main(int argc, char** argv) {
   std::printf("  \"learn_phase\": [\n");
   printMode(learnSeq, false);
   printMode(learnVec, true);
-  std::printf("  ]\n}\n");
+  std::printf("  ],\n");
+  std::printf("  \"learn_sustained\": {\"label\": \"learn-sustained\", \"episodes\": %zu, "
+              "\"learn_calls\": %zu, \"early_window\": [%zu, %zu], "
+              "\"early_learns_per_second\": %.1f, \"late_window\": [%zu, %zu], "
+              "\"late_learns_per_second\": %.1f}\n}\n",
+              sustained.episodes, sustained.learnCalls, sustained.edges[0], sustained.edges[1],
+              sustained.rate(0), sustained.edges[2], sustained.edges[3], sustained.rate(2));
   return identical ? 0 : 1;
 }

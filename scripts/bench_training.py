@@ -5,19 +5,22 @@ Runs bench_training (paper-2BSM task): sequential one-env baseline vs
 V in {1, 8, 32} lockstep envs feeding the pose-batched scoring kernel and
 one tiled Q-forward per step. The binary reports collect-phase and
 learning-phase transitions/second (one candidate pose is scored per
-transition, so steps/s == pose-evals/s) plus a built-in sequential-vs-V=1
-bit-identity check.
+transition, so steps/s == pose-evals/s), a learn-sustained row (one long
+sequential learning run timed over learn calls 2,000-4,000 and
+16,000-18,000) and a built-in sequential-vs-V=1 bit-identity check.
 
 Gates (mirroring bench_scoring.py): refuses a debug harness build,
 refuses if the V=1 schedule is not bit-identical to the sequential
 baseline, and enforces the acceptance floor of a 2x collect-phase
-speedup at V=32.
+speedup at V=32. The learn-sustained late/early ratio is recorded, not
+gated.
 
 Stdlib only. Usage:
 
     python3 scripts/bench_training.py [--build-dir build] [--out BENCH_training.json]
                                       [--episodes 8] [--max-steps 50]
                                       [--learn-max-steps 10] [--replay 512]
+                                      [--sustained-learns 18000]
                                       [--seed 2018] [--skip-identity] [--allow-debug]
 """
 
@@ -54,6 +57,7 @@ def run_bench(binary: Path, args) -> dict:
         f"--max-steps={args.max_steps}",
         f"--learn-max-steps={args.learn_max_steps}",
         f"--replay={args.replay}",
+        f"--sustained-learns={args.sustained_learns}",
         f"--seed={args.seed}",
     ]
     if args.skip_identity:
@@ -102,6 +106,9 @@ def main() -> None:
     ap.add_argument("--learn-max-steps", default=10, type=int,
                     help="episode length for the learning-phase rows")
     ap.add_argument("--replay", default=512, type=int)
+    ap.add_argument("--sustained-learns", default=18000, type=int,
+                    help="length in learn calls of the learn-sustained run; its "
+                         "windows are calls [n/9, 2n/9) and [8n/9, n)")
     ap.add_argument("--seed", default=2018, type=int)
     ap.add_argument("--skip-identity", action="store_true",
                     help="skip the built-in sequential-vs-V=1 bit-identity run")
@@ -172,6 +179,11 @@ def main() -> None:
     ratio_v1 = rate(raw["collect_phase"], "V=1") / sequential
     learn_seq = rate(raw["learn_phase"], "learn-sequential")
     learn_v32 = rate(raw["learn_phase"], "learn-V=32")
+    sustained = raw.get("learn_sustained")
+    if not sustained or sustained.get("early_learns_per_second", 0) <= 0:
+        raise SystemExit("bench_training JSON is missing the learn-sustained row")
+    sustained_ratio = (sustained["late_learns_per_second"]
+                       / sustained["early_learns_per_second"])
 
     doc = {
         "benchmark": "bench_training",
@@ -188,6 +200,7 @@ def main() -> None:
         "v1_bit_identical": raw.get("v1_bit_identical", False),
         "collect_phase": raw["collect_phase"],
         "learn_phase": raw["learn_phase"],
+        "learn_sustained": sustained,
         "acceptance": {
             "required_speedup_collect_v32": args.min_speedup,
             "measured_speedup_collect_v32": round(speedup_v32, 2),
@@ -200,6 +213,7 @@ def main() -> None:
             "unfolded_learn_baseline_steps_per_sec": args.fold_learn_baseline,
             "learn_phase_speedup_vs_unfolded_baseline":
                 round(learn_seq / args.fold_learn_baseline, 2),
+            "learn_sustained_over_early": round(sustained_ratio, 2),
         },
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -211,6 +225,10 @@ def main() -> None:
           f"{learn_seq / args.fold_learn_baseline:.2f}x unfolded baseline, "
           f"tier {gemm_tier}, fold {fold_static}) | "
           f"V=32 {learn_v32 / learn_seq:.2f}x")
+    print(f"  learn-sustained: calls {sustained['early_window']} "
+          f"{sustained['early_learns_per_second']:.1f}/s -> calls "
+          f"{sustained['late_window']} {sustained['late_learns_per_second']:.1f}/s "
+          f"({sustained_ratio:.2f}x)")
     if speedup_v32 < args.min_speedup:
         raise SystemExit(f"acceptance FAILED: V=32 collect speedup {speedup_v32:.2f}x "
                          f"< required {args.min_speedup}x")

@@ -180,6 +180,7 @@ FactoredPrefixGrad DenseLayer::factoredGrad(std::size_t paramIndex, ThreadPool* 
   fg.pool = pool;
   fg.rowDots = fold_->dots;
   fg.rowDotsCurrent = &fold_->dotsCurrent;
+  fg.rowDotsMatch = fold_->dotsCurrent;
   return fg;
 }
 

@@ -50,7 +50,10 @@ bool foldStaticEnabled();
 /// write costs one add per row. An optimizer step through factoredGrad()
 /// recomputes them from the rows it writes and marks them current, so
 /// the refold after a step skips the W_s sweep too; foldCount() counts
-/// only the refolds that sweep W_s.
+/// only the refolds that sweep W_s. A row the step leaves alone (an idle
+/// RmsProp row) keeps its dot if the dots were current when the
+/// descriptor was built, so build it before the parameters() walk that
+/// marks them stale; built after, the step sums those rows again.
 class DenseLayer {
  public:
   DenseLayer(std::size_t inDim, std::size_t outDim);
@@ -146,10 +149,10 @@ class DenseLayer {
 
   /// Descriptor of this layer's rank-1 weight gradient for an optimizer
   /// step whose parameter list holds the weights at `paramIndex`: the
-  /// static prefix, the bias gradient as coefficient, `pool`, and the
-  /// fold's row dots as the fused-dot output (see FactoredPrefixGrad).
-  /// Points into this layer: rebuild it after the layer is copied or
-  /// moved. Throws unless folding is configured.
+  /// static prefix, the bias gradient as coefficient, `pool`, the fold's
+  /// row dots as the fused-dot output, and whether they are current now
+  /// (see FactoredPrefixGrad). Points into this layer: rebuild it after
+  /// the layer is copied or moved. Throws unless folding is configured.
   FactoredPrefixGrad factoredGrad(std::size_t paramIndex, ThreadPool* pool) const;
 
   /// Folded input-layer backward: accumulates the packed dynamic-column

@@ -5,6 +5,7 @@
 /// original DQN) and names Adam as the alternative; both are provided,
 /// plus plain SGD with momentum as a baseline.
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,7 +24,9 @@ namespace dqndock::nn {
 /// Optimizers reconstruct g = coeff[r] * staticPrefix[c] on the fly, so
 /// the full (out x in) gradient is never materialised, zeroed, or
 /// streamed — the payoff of the static-prefix fold on the learn phase.
-/// Per-parameter optimizer state stays full-shaped (keyed by the param).
+/// Per-parameter optimizer state is full-shaped (keyed by the param),
+/// but RmsProp lets the mean squares of idle rows lag behind by the
+/// decays they owe (see RmsProp).
 ///
 /// The update sweeps the rows in groups of at most kDotRows. With a
 /// `pool`, the caller and the pool workers pull those groups from a
@@ -38,6 +41,12 @@ namespace dqndock::nn {
 /// points both into its fold cache (DenseLayer::factoredGrad) and builds
 /// its folded bias from the dots without reading W_s again. With an
 /// empty `rowDots` the sweep computes no dots and marks nothing.
+///
+/// A row the step leaves unchanged (RmsProp's idle rows) keeps its dot
+/// when `rowDotsMatch` says rowDots already held the dots of the
+/// weights as they were when the descriptor was built; otherwise the
+/// sweep sums it again from the unchanged row. A weight write after the
+/// descriptor is built voids it.
 struct FactoredPrefixGrad {
   std::size_t paramIndex = 0;            ///< position of the weight tensor in params/grads
   std::span<const double> staticPrefix;  ///< the S constant input values
@@ -45,6 +54,7 @@ struct FactoredPrefixGrad {
   ThreadPool* pool = nullptr;            ///< shares the row groups out when set
   std::span<double> rowDots;             ///< optional out: static dot of each stepped row
   bool* rowDotsCurrent = nullptr;        ///< set once rowDots holds the stepped rows' dots
+  bool rowDotsMatch = false;             ///< rowDots matched the weights at build time
 };
 
 /// Rows whose static dots accumulate side by side: one accumulator each.
@@ -103,6 +113,31 @@ class Sgd final : public Optimizer {
 
 /// RMSprop as used by DQN (Mnih et al. 2015): squared-gradient moving
 /// average with decay 0.95 and epsilon inside the square root.
+///
+/// Idle rows. In a factored step, a row whose coeff[r] and packed
+/// dynamic gradient are all ±0 has g = ±0 in every column, and its full
+/// update is exactly "leave W[r][·] alone and set ms ← ρ·ms":
+/// (1−ρ)·g·g is +0, and p − (±0) is p. The sweep skips such a row and
+/// counts one pending decay for it. When the row next gets a nonzero
+/// gradient, the sweep first applies its pending decays element by
+/// element (ms = ρ·ms, k times: the rounded products the skipped steps
+/// would have made), then updates as usual. The catch-up stops early
+/// once a pass changes no value: from there every pass is the identity,
+/// so a row pays at most the passes that take its mean squares through
+/// the subnormals to their fixed point (~14 k from ms ≈ 1 at ρ = 0.95),
+/// and a row that never revives pays nothing. A dense step over the
+/// parameter applies its pending decays first.
+///
+/// So every weight, and every mean square an update reads, is bitwise
+/// the full sweep's, with one exception: a weight stored as −0.0 under a
+/// −0 step becomes +0.0 in the full update (−0.0 − (−0.0) = +0.0) but
+/// stays −0.0 when its row is skipped. He init (0.0 + σz) and RMSprop
+/// (x − x rounds to +0.0) never produce −0.0, so only a loaded
+/// checkpoint can hold one, and every dot and forward reads the two
+/// zeros alike. The skip runs only where its premise holds: ε > 0,
+/// 0 < ρ ≤ 1, and a finite learning rate and static prefix. Sgd and
+/// Adam sweep every row: their update on a zero gradient still moves
+/// the weights.
 class RmsProp final : public Optimizer {
  public:
   explicit RmsProp(double lr = 0.00025, double decay = 0.95, double epsilon = 0.01)
@@ -113,9 +148,17 @@ class RmsProp final : public Optimizer {
   std::string name() const override { return "rmsprop"; }
 
  private:
+  /// Apply every pending decay of parameter owedParam_ and zero the counts.
+  void settleOwed();
+
   double decay_;
   double epsilon_;
   std::vector<Tensor> meanSquare_;
+  /// Per row of parameter owedParam_ (the last factored one): the decays
+  /// its mean squares still owe. Empty before the first factored step
+  /// and after the state is rebuilt.
+  std::vector<std::uint64_t> owed_;
+  std::size_t owedParam_ = 0;
 };
 
 /// Adam (Kingma & Ba 2015).

@@ -172,7 +172,10 @@ double DqnAgent::learn(ExperienceSource& source, Rng& rng) {
 
   online_->zeroGrad();
   online_->backward(dq_);
-  optimizer_->step(online_->parameters(), online_->gradients(), online_->factoredGrad());
+  // Before parameters(): the descriptor records whether the fold's row
+  // dots are current, and the walk marks them stale.
+  const nn::FactoredPrefixGrad* factored = online_->factoredGrad();
+  optimizer_->step(online_->parameters(), online_->gradients(), factored);
 
   ++learnSteps_;
   if (config_.polyakTau > 0.0) {

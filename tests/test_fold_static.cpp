@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -716,6 +718,342 @@ TEST(FoldStaticFusedDot, ReadOnlyWalksLeaveTheOnlineFoldCurrent) {
       EXPECT_EQ(std::memcmp(pk[i]->data(), po[i]->data(), pk[i]->size() * sizeof(double)), 0)
           << "param " << i;
     }
+  }
+}
+
+
+// --- Idle rows: RmsProp skips the input-layer rows whose gradient is all
+// ±0 and settles their mean-square decays when they revive, bit for bit.
+
+/// The oracle: RMSprop over every element of the full matrix and bias.
+struct FullRmsProp {
+  double lr, decay, epsilon;
+  std::vector<double> msW, msB;
+
+  void step(nn::Tensor& w, const nn::Tensor& gw, nn::Tensor& b, const nn::Tensor& gb) {
+    update(w.flat(), gw.flat(), msW);
+    update(b.flat(), gb.flat(), msB);
+  }
+  void update(std::span<double> p, std::span<const double> g, std::vector<double>& ms) const {
+    ms.resize(p.size(), 0.0);
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      ms[j] = decay * ms[j] + (1.0 - decay) * g[j] * g[j];
+      p[j] -= lr * g[j] / std::sqrt(ms[j] + epsilon);
+    }
+  }
+};
+
+/// The full (out x in) weight gradient a folded layer's factored one stands
+/// for: coeff ⊗ prefix in the static columns, then the packed columns.
+nn::Tensor fullGradient(const nn::DenseLayer& layer) {
+  const std::span<const double> xs = layer.staticPrefix();
+  const nn::Tensor& gd = layer.weightGrad();
+  nn::Tensor g(layer.outDim(), layer.inDim());
+  for (std::size_t r = 0; r < layer.outDim(); ++r) {
+    for (std::size_t j = 0; j < xs.size(); ++j) g(r, j) = layer.biasGrad()(0, r) * xs[j];
+    for (std::size_t j = 0; j < gd.cols(); ++j) g(r, xs.size() + j) = gd(r, j);
+  }
+  return g;
+}
+
+/// Elements whose bits differ (so −0.0 and +0.0 count as different);
+/// any two NaNs match.
+std::size_t bitMismatches(const nn::Tensor& a, const nn::Tensor& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    const bool nans = std::isnan(a.data()[i]) && std::isnan(b.data()[i]);
+    mismatches += !nans && std::memcmp(a.data() + i, b.data() + i, sizeof(double)) != 0;
+  }
+  return mismatches;
+}
+
+/// Hand-set gradients of one step: live rows draw values of magnitude
+/// `scale`; every other row gets ±0 in its coefficient and every packed
+/// column, alternating signs.
+void setRowGradients(nn::DenseLayer& layer, const std::vector<bool>& live, Rng& rng,
+                     double scale = 1.0) {
+  nn::Tensor& gd = layer.weightGrad();
+  for (std::size_t r = 0; r < layer.outDim(); ++r) {
+    auto value = [&](std::size_t j) {
+      return live[r] ? (rng.uniform() * 2.0 - 1.0) * scale : ((r + j) % 2 == 0 ? 0.0 : -0.0);
+    };
+    for (std::size_t j = 0; j < gd.cols(); ++j) gd(r, j) = value(j);
+    layer.biasGrad()(0, r) = value(gd.cols());
+  }
+}
+
+/// A folded layer stepped through RmsProp's factored path beside the
+/// full-sweep oracle's copy of its weights and bias.
+struct IdleRowRun {
+  IdleRowRun(const FusedDotShape& shape, std::vector<double> prefix, ThreadPool* pool,
+             const FullRmsProp& hyper = {0.01, 0.95, 0.01, {}, {}})
+      : layer(shape.in, shape.rows), opt(hyper.lr, hyper.decay, hyper.epsilon), oracle(hyper),
+        pool(pool) {
+    Rng rng(2024);
+    layer.initHe(rng);
+    layer.configureStaticPrefix(std::move(prefix));
+    w = layer.weights();
+    b = layer.bias();
+    layer.foldedBias();  // the first forward's refold: the dots are current
+  }
+
+  /// One step from the layer's current gradients. The descriptor is built
+  /// before the parameter walk, as DqnAgent::learn builds it.
+  void step() {
+    const nn::Tensor g = fullGradient(layer);
+    const nn::FactoredPrefixGrad fg = layer.factoredGrad(0, pool);
+    opt.step({&layer.weights(), &layer.bias()}, {&layer.weightGrad(), &layer.biasGrad()}, &fg);
+    oracle.step(w, g, b, layer.biasGrad());
+  }
+
+  std::size_t mismatches() const {
+    return bitMismatches(layer.weights(), w) + bitMismatches(layer.bias(), b);
+  }
+
+  nn::DenseLayer layer;
+  nn::RmsProp opt;
+  FullRmsProp oracle;
+  nn::Tensor w, b;
+  ThreadPool* pool;
+};
+
+/// Which rows live at each of `steps` steps: all at step 0, then each
+/// with probability 0.3, except row 0, which sleeps until the last 4.
+std::vector<std::vector<bool>> liveSchedule(std::size_t rows, int steps, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<bool>> live(static_cast<std::size_t>(steps), std::vector<bool>(rows));
+  for (int t = 0; t < steps; ++t) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const bool draw = rng.uniform() < 0.3;
+      live[static_cast<std::size_t>(t)][r] = t == 0 || (r == 0 ? t >= steps - 4 : draw);
+    }
+  }
+  return live;
+}
+
+TEST(FoldStaticIdleRows, IdleRowsReviveBitForBitOnEverySchedule) {
+  // The FoldStaticFusedDot shapes: 13 rows (a short last group), 6 rows
+  // (fewer groups than participants), 80 rows (more). Every static and
+  // dynamic width leaves a partial block of mean squares to settle.
+  const FusedDotShape shapes[] = {{4000, 3800, 13}, {50000, 49700, 6}, {3000, 2900, 80}};
+  const int kSteps = 24;
+  for (const FusedDotShape& shape : shapes) {
+    const auto live = liveSchedule(shape.rows, kSteps, 5);
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                      std::size_t{8}}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      IdleRowRun run(shape, makePrefix(shape.staticLen, 71), pool.get());
+      Rng rng(17);
+      const std::string ctx =
+          "rows " + std::to_string(shape.rows) + " threads " + std::to_string(threads);
+      for (int t = 0; t < kSteps; ++t) {
+        setRowGradients(run.layer, live[static_cast<std::size_t>(t)], rng);
+        // Live rows with one zero half: row 1 without its static
+        // gradient, row 2 without its dynamic one.
+        if (t % 3 == 1) run.layer.biasGrad()(0, 1) = 0.0;
+        if (t % 3 == 2) {
+          for (std::size_t j = 0; j < run.layer.dynamicDim(); ++j) run.layer.weightGrad()(2, j) = 0.0;
+        }
+        run.step();
+        ASSERT_EQ(run.mismatches(), 0u) << ctx << " step " << t;
+        ASSERT_EQ(foldedBiasMismatches(run.layer), 0u) << ctx << " step " << t;
+      }
+      // Every step kept or summed every dot: only the first refold swept W_s.
+      EXPECT_EQ(run.layer.foldCount(), 1u) << ctx;
+    }
+  }
+}
+
+TEST(FoldStaticIdleRows, SubnormalMeanSquaresSettleToTheirFixedPoint) {
+  // Row 4 gets one tiny gradient, (1−ρ)·g² ≈ 1e-300, then sleeps 1,500
+  // steps while its mean squares decay through the subnormals to their
+  // fixed point, then wakes with a gradient of the same size as that
+  // point. ε is the smallest subnormal, so the wake-up update reads the
+  // settled mean squares bit for bit.
+  const double kMinSub = std::numeric_limits<double>::denorm_min();
+  const FusedDotShape shape{300, 280, 9};
+  const std::size_t kRow = 4;
+  const int kIdle = 1500;
+  IdleRowRun run(shape, makePrefix(shape.staticLen, 29), nullptr, {0.01, 0.95, kMinSub, {}, {}});
+  Rng rng(19);
+  std::vector<bool> live(shape.rows, true);
+  auto stepRow4 = [&](double scale) {  // every row live, row 4's values times `scale`
+    live.assign(shape.rows, true);
+    setRowGradients(run.layer, live, rng);
+    for (std::size_t j = 0; j < shape.in - shape.staticLen; ++j) {
+      run.layer.weightGrad()(kRow, j) *= scale;
+    }
+    run.layer.biasGrad()(0, kRow) *= scale;
+    run.step();
+  };
+  stepRow4(4.5e-150);
+  ASSERT_EQ(run.mismatches(), 0u);
+  for (int t = 0; t < kIdle; ++t) {
+    for (std::size_t r = 0; r < shape.rows; ++r) live[r] = r != kRow && rng.uniform() < 0.5;
+    setRowGradients(run.layer, live, rng);
+    run.step();
+    ASSERT_EQ(run.mismatches(), 0u) << "idle step " << t;
+  }
+  // The oracle's mean squares of row 4 sit at their subnormal fixed point.
+  std::size_t subnormal = 0, fixed = 0;
+  for (std::size_t j = 0; j < shape.in; ++j) {
+    const double m = run.oracle.msW[kRow * shape.in + j];
+    subnormal += m > 0.0 && m < std::numeric_limits<double>::min();
+    fixed += 0.95 * m == m;
+  }
+  EXPECT_EQ(subnormal, shape.in);
+  EXPECT_EQ(fixed, shape.in);
+
+  const nn::Tensor before = run.layer.weights();
+  stepRow4(1e-161);
+  EXPECT_EQ(run.mismatches(), 0u) << "wake-up step";
+  std::size_t moved = 0;
+  for (std::size_t j = 0; j < shape.in; ++j) moved += run.w(kRow, j) != before(kRow, j);
+  EXPECT_GT(moved, shape.in / 2) << "the wake-up update should move row 4";
+  for (int t = 0; t < 3; ++t) {
+    stepRow4(1.0);
+    EXPECT_EQ(run.mismatches(), 0u) << "after wake-up " << t;
+  }
+}
+
+TEST(FoldStaticIdleRows, WeightWriteBetweenIdleStepsSumsTheDotAgain) {
+  // A static-column weights() write leaves the dots stale, so the next
+  // step's descriptor says so and the sweep sums the idle rows' dots
+  // again from their rows instead of keeping them.
+  const FusedDotShape shape{3000, 2900, 80};
+  ThreadPool pool(3);
+  IdleRowRun run(shape, makePrefix(shape.staticLen, 79), &pool);
+  const auto live = liveSchedule(shape.rows, 12, 23);
+  Rng rng(31);
+  for (int t = 0; t < 12; ++t) {
+    std::vector<bool> rows = live[static_cast<std::size_t>(t)];
+    if (t == 6) rows[5] = false;  // the written row sleeps through the next step
+    setRowGradients(run.layer, rows, rng);
+    run.step();
+    ASSERT_EQ(run.mismatches(), 0u) << "step " << t;
+    if (t == 5) {
+      run.layer.weights()(5, 17) += 0.25;
+      run.w(5, 17) += 0.25;
+      continue;  // no forward between the write and the next step
+    }
+    ASSERT_EQ(foldedBiasMismatches(run.layer), 0u) << "step " << t;
+  }
+  EXPECT_EQ(run.layer.foldCount(), 1u);
+}
+
+TEST(FoldStaticIdleRows, DenseStepSettlesPendingDecays) {
+  // Factored steps leave row 2 owing decays; a dense step over the same
+  // weights (the fold switched off mid-run) must apply them first.
+  const FusedDotShape shape{3000, 2900, 13};
+  IdleRowRun run(shape, makePrefix(shape.staticLen, 37), nullptr);
+  const auto live = liveSchedule(shape.rows, 16, 41);
+  Rng rng(43);
+  for (int t = 0; t < 16; ++t) {
+    std::vector<bool> rows = live[static_cast<std::size_t>(t)];
+    rows[2] = t == 0 || t == 10 || t == 15;
+    setRowGradients(run.layer, rows, rng);
+    if (t == 10) {
+      nn::Tensor g = fullGradient(run.layer);
+      run.opt.step({&run.layer.weights(), &run.layer.bias()}, {&g, &run.layer.biasGrad()});
+      run.oracle.step(run.w, g, run.b, run.layer.biasGrad());
+    } else {
+      run.step();
+    }
+    ASSERT_EQ(run.mismatches(), 0u) << "step " << t;
+    ASSERT_EQ(foldedBiasMismatches(run.layer), 0u) << "step " << t;
+  }
+}
+
+TEST(FoldStaticIdleRows, SgdAndAdamStillSweepEveryRow) {
+  // Under the same idle rows, SGD with momentum and Adam match their own
+  // dense full sweep bit for bit: a zero gradient still moves them.
+  const FusedDotShape shape{3000, 2900, 80};
+  ThreadPool pool(3);
+  const auto live = liveSchedule(shape.rows, 10, 47);
+  for (const std::string kind : {"sgd", "adam"}) {
+    IdleRowRun run(shape, makePrefix(shape.staticLen, 53), &pool);
+    std::unique_ptr<nn::Optimizer> factored, full;
+    if (kind == "sgd") {
+      factored = std::make_unique<nn::Sgd>(0.01, 0.9);
+      full = std::make_unique<nn::Sgd>(0.01, 0.9);
+    } else {
+      factored = nn::makeOptimizer(kind, 0.01);
+      full = nn::makeOptimizer(kind, 0.01);
+    }
+    Rng rng(59);
+    for (int t = 0; t < 10; ++t) {
+      setRowGradients(run.layer, live[static_cast<std::size_t>(t)], rng);
+      nn::Tensor g = fullGradient(run.layer);
+      const nn::FactoredPrefixGrad fg = run.layer.factoredGrad(0, &pool);
+      factored->step({&run.layer.weights(), &run.layer.bias()},
+                     {&run.layer.weightGrad(), &run.layer.biasGrad()}, &fg);
+      full->step({&run.w, &run.b}, {&g, &run.layer.biasGrad()});
+      ASSERT_EQ(run.mismatches(), 0u) << kind << " step " << t;
+      ASSERT_EQ(foldedBiasMismatches(run.layer), 0u) << kind << " step " << t;
+    }
+  }
+}
+
+TEST(FoldStaticIdleRows, SkippedRowKeepsANegativeZeroWeight) {
+  // The one documented difference from the full sweep: under a −0 step
+  // the full update turns a −0.0 weight into +0.0, a skipped row keeps
+  // it. Nothing but a loaded checkpoint stores −0.0; this pins that an
+  // idle row really is skipped.
+  const FusedDotShape shape{3000, 2900, 13};
+  IdleRowRun run(shape, makePrefix(shape.staticLen, 61), nullptr);
+  const std::span<const double> xs = run.layer.staticPrefix();
+  std::size_t j = 0;
+  while (xs[j] <= 0.0) ++j;  // coeff −0 times x > 0 is a −0 step
+  run.layer.weights()(3, j) = -0.0;
+  run.w(3, j) = -0.0;
+  std::vector<bool> live(shape.rows, true);
+  live[3] = false;
+  Rng rng(67);
+  setRowGradients(run.layer, live, rng);
+  run.layer.biasGrad()(0, 3) = -0.0;
+  run.step();
+  EXPECT_TRUE(std::signbit(run.layer.weights()(3, j)));
+  EXPECT_FALSE(std::signbit(run.w(3, j)));
+  EXPECT_EQ(run.mismatches(), 1u);  // that weight's sign, nothing else
+  EXPECT_EQ(foldedBiasMismatches(run.layer), 0u);
+}
+
+TEST(FoldStaticIdleRows, NoSkipWhereAZeroStepMovesTheWeights) {
+  // Where a zero gradient is not the identity, idle rows are swept like
+  // the rest: ε = 0 (0/√0 for a weight that never had a gradient),
+  // ρ > 1 (its mean squares turn negative), an infinite learning rate
+  // (∞·0) and an infinite prefix value (0·∞). Each leaves NaNs in the
+  // idle row that a skip would not have written.
+  struct Case {
+    const char* name;
+    FullRmsProp hyper;
+    bool infinitePrefix;
+    bool liveAtFirst;  // row 3 live at step 0, idle after
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const Case cases[] = {{"epsilon 0", {0.01, 0.95, 0.0, {}, {}}, false, false},
+                        {"decay 2", {0.01, 2.0, 1.0, {}, {}}, false, true},
+                        {"lr inf", {inf, 0.95, 0.01, {}, {}}, false, false},
+                        {"prefix inf", {0.01, 0.95, 0.01, {}, {}}, true, false}};
+  const FusedDotShape shape{3000, 2900, 13};
+  const auto live = liveSchedule(shape.rows, 8, 71);
+  for (const Case& c : cases) {
+    auto prefix = makePrefix(shape.staticLen, 73);
+    if (c.infinitePrefix) prefix[7] = inf;
+    IdleRowRun run(shape, prefix, nullptr, c.hyper);
+    Rng rng(79);
+    for (int t = 0; t < 8; ++t) {
+      std::vector<bool> rows = live[static_cast<std::size_t>(t)];
+      rows[3] = c.liveAtFirst && t == 0;
+      setRowGradients(run.layer, rows, rng);
+      run.step();
+      ASSERT_EQ(run.mismatches(), 0u) << c.name << " step " << t;
+    }
+    std::size_t nans = 0;
+    for (std::size_t j = 0; j < shape.in; ++j) nans += std::isnan(run.layer.weights()(3, j));
+    EXPECT_GT(nans, 0u) << c.name;
   }
 }
 
