@@ -60,14 +60,9 @@ int main(int argc, char** argv) {
                   r.bestScore, r.steps, r.epsilon);
     }
   };
-  if (cfg.vectorEnvs >= 1) {
-    // The lockstep schedule has no single-episode granularity; records
-    // stream out of run() in completion order via the callback.
-    system.trainer().setEpisodeCallback(printRecord);
-    system.train();
-  } else {
-    for (std::size_t e = 0; e < cfg.trainer.episodes; ++e) printRecord(system.trainEpisode());
-  }
+  // Records stream out of train() in completion order, for any V.
+  system.trainer().setEpisodeCallback(printRecord);
+  system.train();
   const double elapsed = clock.seconds();
 
   const rl::MetricsLog& log = system.metrics();

@@ -1,13 +1,15 @@
 // Vectorized training-loop throughput on the paper-2BSM task: V lockstep
 // envs feeding the pose-batched scoring kernel and one tiled Q-forward
-// per step, vs the paper's sequential one-env loop. Reports training
+// per step, vs the paper's one-env loop. Reports training
 // transitions/second (one candidate pose is scored per transition, so
-// this is also pose-evals/second) for sequential and V in {1, 8, 32}
-// during the collect phase (epsilon = 0.05, no SGD: the learn call is
-// identical per transition in both schedules, so collect throughput is
-// where the speedup lives), plus a short learning-phase row at V = 32,
-// a sustained row that times one long sequential learning run early and
-// late, and a built-in sequential-vs-V=1 bit-identity check.
+// this is also pose-evals/second) during the collect phase (epsilon =
+// 0.05, no SGD: the learn call is identical per transition for any V, so
+// collect throughput is where the speedup lives) for the `sequential`
+// row (vectorEnvs 0: the trainer's loop at V = 1 over the system's one
+// DockingTask) and for V in {1, 8, 32} DockingVectorEnv envs, plus a
+// short learning-phase row at V = 32, a sustained row that times one
+// long one-env learning run early and late, and a built-in check that
+// the `sequential` and V=1 runs are bit-identical.
 //
 // Output is a single JSON object on stdout; scripts/bench_training.py
 // wraps it into BENCH_training.json with the acceptance gate.
@@ -93,7 +95,7 @@ void printMode(const ModeResult& r, bool last) {
               stepsPerSec, stepsPerSec, r.batchedSteps, batchedFraction, last ? "" : ",");
 }
 
-/// Learn calls per second over two windows of one long sequential
+/// Learn calls per second over two windows of one long one-env
 /// learning run of `learns` calls: calls [n/9, 2n/9) and [8n/9, n), so
 /// 2,000-4,000 and 16,000-18,000 at the default n = 18,000. A learn step
 /// that slows as the run goes on (mean squares of idle rows decaying into
@@ -134,7 +136,8 @@ SustainedResult runSustained(const chem::Scenario& scenario, std::size_t learns,
   return r;
 }
 
-/// Sequential vs V=1 must match bit-for-bit: same episode records, same
+/// The task-based run (vectorEnvs 0) and a one-env DockingVectorEnv
+/// (vectorEnvs 1) must match bit-for-bit: same episode records, same
 /// final weights (test_vector_env proves it on the scaled task; this
 /// reruns the check on the paper-2BSM geometry the numbers ship from).
 bool v1BitIdentical(const chem::Scenario& scenario, std::uint64_t seed, ThreadPool* pool) {

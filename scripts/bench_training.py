@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Benchmark the vectorized training loop and emit BENCH_training.json.
 
-Runs bench_training (paper-2BSM task): sequential one-env baseline vs
-V in {1, 8, 32} lockstep envs feeding the pose-batched scoring kernel and
-one tiled Q-forward per step. The binary reports collect-phase and
-learning-phase transitions/second (one candidate pose is scored per
-transition, so steps/s == pose-evals/s), a learn-sustained row (one long
-sequential learning run timed over learn calls 2,000-4,000 and
-16,000-18,000) and a built-in sequential-vs-V=1 bit-identity check.
+Runs bench_training (paper-2BSM task). Every row goes through the
+trainer's one lockstep loop: the `sequential` row is that loop at V = 1
+over the system's own DockingTask (vectorEnvs 0, the paper's one-env
+Algorithm 2), the V in {1, 8, 32} rows run DockingVectorEnv envs feeding
+the pose-batched scoring kernel and one tiled Q-forward per step. The
+binary reports collect-phase and learning-phase transitions/second (one
+candidate pose is scored per transition, so steps/s == pose-evals/s), a
+learn-sustained row (one long one-env learning run timed over learn
+calls 2,000-4,000 and 16,000-18,000) and a built-in check that the
+`sequential` and V=1 runs are bit-identical.
 
 Gates (mirroring bench_scoring.py): refuses a debug harness build,
-refuses if the V=1 schedule is not bit-identical to the sequential
-baseline, and enforces the acceptance floor of a 2x collect-phase
-speedup at V=32. The learn-sustained late/early ratio is recorded, not
-gated.
+refuses if the V=1 run is not bit-identical to the `sequential` row's
+run, and enforces the acceptance floor of a 2x collect-phase speedup at
+V=32 over the `sequential` row (1.5x with the static-prefix fold on).
+The learn-sustained late/early ratio is recorded, not gated.
 
 Stdlib only. Usage:
 

@@ -37,10 +37,11 @@ struct DqnDockingConfig {
   /// agent bootstraps with gamma^n.
   int nStep = 1;
   /// Vectorized training: V lockstep envs batching action selection and
-  /// pose scoring per step (trainer.hpp documents the schedule). 0 keeps
-  /// the sequential trainer; 1 is the bit-identical vectorized run.
-  /// Requires raw-state replay (compactReplay re-derives poses from the
-  /// single sequential task at push time, so the paths are exclusive).
+  /// pose scoring per step (trainer.hpp documents the one loop). 0 trains
+  /// on the system's own task() (the loop at V = 1); 1 on a one-env
+  /// DockingVectorEnv, bit-identical to 0. Values >= 1 require raw-state
+  /// replay (compactReplay re-derives poses from task() at push time,
+  /// so the two are exclusive).
   std::size_t vectorEnvs = 0;
   /// Static-prefix input-layer fold override. Unset defers to the
   /// DQNDOCK_FOLD_STATIC environment gate (default on); an explicit

@@ -23,7 +23,7 @@ rl::EnvStep DockingTask::step(int action, std::vector<double>& nextState) {
   } else {
     encoder_.encode(env_, nextState);
   }
-  return {result.reward, result.terminal};
+  return {result.reward, result.terminal, static_cast<int>(result.reason)};
 }
 
 }  // namespace dqndock::core

@@ -35,8 +35,8 @@ void DockingVectorEnv::step(std::span<const int> actions, nn::Tensor& nextStates
     throw std::invalid_argument("DockingVectorEnv::step: nextStates shape mismatch");
   }
   if (v == 1) {
-    // Nothing to batch: take the scalar path (bit-identical to the
-    // sequential trainer's DockingEnv::step).
+    // Nothing to batch: take the scalar path (bit-identical to
+    // DockingTask's DockingEnv::step).
     results[0] = stepOne(0, actions[0], nextStates.row(0));
     return;
   }
@@ -53,7 +53,7 @@ void DockingVectorEnv::step(std::span<const int> actions, nn::Tensor& nextStates
     } else {
       encoder_.encode(*envs_[i], nextStates.row(i));
     }
-    results[i] = {r.reward, r.terminal};
+    results[i] = {r.reward, r.terminal, static_cast<int>(r.reason)};
   }
   ++batchedSteps_;
 }
@@ -65,7 +65,7 @@ rl::EnvStep DockingVectorEnv::stepOne(std::size_t i, int action, std::span<doubl
   } else {
     encoder_.encode(*envs_[i], nextState);
   }
-  return {r.reward, r.terminal};
+  return {r.reward, r.terminal, static_cast<int>(r.reason)};
 }
 
 std::size_t DockingVectorEnv::evaluationCount() const {

@@ -9,9 +9,9 @@
 /// Bit-identity note: ScoringFunction::scoreBatch agrees with the scalar
 /// scorePose path to ~1e-9 relative (different accumulation order), not
 /// bitwise. At V=1 there is nothing to batch, so step() routes through
-/// DockingEnv::step() — the exact scalar path the sequential trainer
-/// uses — which is what makes the V=1 run reproduce the sequential run
-/// bit-for-bit. For V>1 the batched scores are used for reward and
+/// DockingEnv::step() — the exact scalar path DockingTask uses — which
+/// is what makes a V=1 run reproduce a run on the task bit-for-bit.
+/// For V>1 the batched scores are used for reward and
 /// termination bookkeeping alike, so each run is self-consistent and
 /// deterministic (evaluateBatch chunking is thread-count invariant).
 

@@ -26,7 +26,7 @@ void DqnDocking::build(ThreadPool* pool) {
   if (config_.vectorEnvs >= 1 && config_.compactReplay) {
     throw std::invalid_argument(
         "DqnDocking: vectorEnvs requires raw state storage (compactReplay re-derives poses "
-        "from the single sequential task at push time)");
+        "from the system's own task at push time)");
   }
   if (config_.vectorEnvs > 1 && config_.nStep > 1) {
     throw std::invalid_argument(
@@ -81,7 +81,7 @@ void DqnDocking::build(ThreadPool* pool) {
   }
   if (config_.vectorEnvs >= 1) {
     // The batched pose evaluator takes the pool; per-env scalar scoring
-    // stays serial like the sequential path above.
+    // stays serial like the task's env above.
     vectorEnv_ = std::make_unique<DockingVectorEnv>(scenario_, config_.env, *encoder_,
                                                     config_.vectorEnvs, pool);
     vectorEnv_->setDynamicStates(foldActive);

@@ -44,7 +44,8 @@ class DqnDocking {
   /// paper's Figure 4 is drawn from.
   const rl::MetricsLog& train();
 
-  /// Run one more training episode (incremental use).
+  /// Run one more training episode (incremental use). Needs a single
+  /// env (vectorEnvs 0 or 1); throws for vectorEnvs > 1.
   rl::EpisodeRecord trainEpisode();
 
   /// One greedy (epsilon = 0) evaluation episode with learning disabled.
@@ -55,11 +56,11 @@ class DqnDocking {
   // Component access for tests, benches and custom loops.
   metadock::DockingEnv& env() { return *env_; }
   DockingTask& task() { return *task_; }
-  /// Non-null when config.vectorEnvs >= 1 (the trainer then runs the
-  /// vectorized lockstep schedule over these envs instead of task()).
+  /// Non-null when config.vectorEnvs >= 1 (the trainer then steps these
+  /// envs instead of task()).
   DockingVectorEnv* vectorEnv() { return vectorEnv_.get(); }
   /// The env the trainer (and evaluateGreedy) actually steps: env 0 of
-  /// the vector env in vectorized mode, task().env() otherwise.
+  /// vectorEnv() when vectorEnvs >= 1, task().env() otherwise.
   metadock::DockingEnv& trainingEnv() { return vectorEnv_ ? vectorEnv_->env(0) : *env_; }
   rl::DqnAgent& agent() { return *agent_; }
   rl::Trainer& trainer() { return *trainer_; }

@@ -15,6 +15,10 @@ namespace dqndock::rl {
 struct EnvStep {
   double reward = 0.0;
   bool terminal = false;
+  /// Env-specific reason the episode ended (docking: metadock::Termination);
+  /// 0 when the env reports none. The trainer copies it into the
+  /// episode's EpisodeRecord::terminationCode.
+  int terminationCode = 0;
 };
 
 class Environment {

@@ -18,7 +18,7 @@ struct EpisodeRecord {
   double finalScore = 0.0;   ///< env score at episode end
   double bestScore = 0.0;    ///< best env score seen during the episode
   double epsilon = 0.0;      ///< epsilon at the episode's last step
-  int terminationCode = 0;   ///< env-specific reason
+  int terminationCode = 0;   ///< why it ended: the last step's EnvStep::terminationCode
 };
 
 class MetricsLog {

@@ -17,7 +17,8 @@ Rng trainerEnvStream(std::uint64_t seed, std::uint64_t envIndex) {
 
 Trainer::Trainer(Environment& env, DqnAgent& agent, ExperienceSink& sink,
                  ExperienceSource& source, TrainerConfig config)
-    : env_(&env), agent_(agent), sink_(sink), source_(source), config_(config),
+    : ownedEnvs_(std::make_unique<LockstepVectorEnv>(std::vector<Environment*>{&env})),
+      venv_(ownedEnvs_.get()), agent_(agent), sink_(sink), source_(source), config_(config),
       rng_(config.seed) {}
 
 Trainer::Trainer(VectorEnv& envs, DqnAgent& agent, ExperienceSink& sink,
@@ -35,9 +36,8 @@ Trainer::Trainer(VectorEnv& envs, DqnAgent& agent, ExperienceSink& sink,
 Rng& Trainer::actionRng(std::size_t i) { return envRngs_.empty() ? rng_ : envRngs_[i]; }
 
 namespace {
-/// Presents one env of a VectorEnv as a scalar Environment so
-/// playEpisode can drive it (greedy evaluation plays env 0 outside the
-/// lockstep batch).
+/// Presents one env of a VectorEnv as a scalar Environment so greedy
+/// evaluation can play env 0 outside the lockstep batch.
 class VectorEnvSlice final : public Environment {
  public:
   VectorEnvSlice(VectorEnv& envs, std::size_t index) : envs_(envs), index_(index) {}
@@ -63,45 +63,34 @@ class VectorEnvSlice final : public Environment {
 };
 }  // namespace
 
-EpisodeRecord Trainer::playEpisode(bool exploring, bool learning) {
+EpisodeRecord Trainer::evaluateGreedy() {
+  VectorEnvSlice env(*venv_, 0);
   std::vector<double> state;
   std::vector<double> nextState;
-  env_->reset(state);
+  env.reset(state);
 
   EpisodeRecord record;
   record.episode = episodeIndex_;
-  record.finalScore = env_->score();
-  record.bestScore = env_->score();
+  record.finalScore = env.score();
+  record.bestScore = env.score();
   RunningStats maxQ;
 
   bool terminal = false;
   while (!terminal) {
-    const double epsilon = exploring ? config_.epsilon.value(globalStep_) : 0.0;
-    record.epsilon = epsilon;
-
     // Figure 4 metric: the maximum predicted Q for the current state.
     maxQ.add(agent_.maxQ(state));
 
-    const int action = agent_.selectAction(state, epsilon, rng_);
-    const EnvStep result = env_->step(action, nextState);
+    // At epsilon 0 selectAction still draws one uniform() from the
+    // shared stream, so training after an evaluation sees that draw.
+    const int action = agent_.selectAction(state, /*epsilon=*/0.0, rng_);
+    const EnvStep result = env.step(action, nextState);
     record.totalReward += result.reward;
+    record.terminationCode = result.terminationCode;
     terminal = result.terminal;
-
-    if (learning) {
-      sink_.push(state, action, result.reward, nextState, terminal);
-    }
-
     state = nextState;
     ++record.steps;
-    if (learning) {
-      ++globalStep_;
-      if (globalStep_ >= config_.learningStart && config_.learnEvery > 0 &&
-          globalStep_ % config_.learnEvery == 0) {
-        agent_.learn(source_, rng_);
-      }
-    }
 
-    const double score = env_->score();
+    const double score = env.score();
     record.finalScore = score;
     record.bestScore = std::max(record.bestScore, score);
   }
@@ -111,17 +100,12 @@ EpisodeRecord Trainer::playEpisode(bool exploring, bool learning) {
 }
 
 EpisodeRecord Trainer::runEpisode() {
-  if (venv_) {
+  if (venv_->size() != 1) {
     throw std::logic_error(
-        "Trainer::runEpisode: not available in vectorized mode (lockstep envs have no "
-        "single-episode granularity); use run()");
+        "Trainer::runEpisode: needs a single env (with V > 1 lockstep envs the other envs' "
+        "episodes would be cut off); use run()");
   }
-  EpisodeRecord record = playEpisode(/*exploring=*/true, /*learning=*/true);
-  record.episode = episodeIndex_++;
-  metrics_.add(record);
-  if (episodeCallback_) episodeCallback_(record);
-  logEpisode(record);
-  return record;
+  return collect(1).records().back();
 }
 
 void Trainer::logEpisode(const EpisodeRecord& record) const {
@@ -132,31 +116,13 @@ void Trainer::logEpisode(const EpisodeRecord& record) const {
   }
 }
 
-EpisodeRecord Trainer::evaluateGreedy() {
-  if (venv_) {
-    VectorEnvSlice slice(*venv_, 0);
-    Environment* saved = env_;
-    env_ = &slice;
-    const EpisodeRecord record = playEpisode(/*exploring=*/false, /*learning=*/false);
-    env_ = saved;
-    return record;
-  }
-  return playEpisode(/*exploring=*/false, /*learning=*/false);
-}
+const MetricsLog& Trainer::run() { return collect(config_.episodes); }
 
-const MetricsLog& Trainer::run() {
-  if (venv_) return runVectorized();
-  for (std::size_t e = 0; e < config_.episodes; ++e) runEpisode();
-  return metrics_;
-}
-
-const MetricsLog& Trainer::runVectorized() {
+const MetricsLog& Trainer::collect(std::size_t episodes) {
   const std::size_t v = venv_->size();
   const std::size_t dim = venv_->stateDim();
   const auto actionCount = static_cast<std::uint64_t>(venv_->actionCount());
-  // run() adds config.episodes more episodes each call, like the
-  // sequential schedule does.
-  const std::size_t targetEpisodes = metrics_.size() + config_.episodes;
+  const std::size_t targetEpisodes = metrics_.size() + episodes;
 
   nn::Tensor states(v, dim);
   nn::Tensor nextStates(v, dim);
@@ -183,8 +149,8 @@ const MetricsLog& Trainer::runVectorized() {
 
     for (std::size_t i = 0; i < v; ++i) {
       // Transition-counted epsilon: env i is about to commit transition
-      // number globalStep_ + i, exactly the step index the sequential
-      // schedule would use for it.
+      // number globalStep_ + i, exactly the step index a one-env run
+      // would use for it.
       const double epsilon = config_.epsilon.value(globalStep_ + i);
       records[i].epsilon = epsilon;
       const auto row = q.row(i);
@@ -224,6 +190,7 @@ const MetricsLog& Trainer::runVectorized() {
       records[i].bestScore = std::max(records[i].bestScore, score);
 
       if (results[i].terminal && metrics_.size() < targetEpisodes) {
+        records[i].terminationCode = results[i].terminationCode;
         records[i].avgMaxQ = maxQ[i].count() ? maxQ[i].mean() : 0.0;
         records[i].episode = episodeIndex_++;
         metrics_.add(records[i]);

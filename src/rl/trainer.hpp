@@ -6,21 +6,22 @@
 /// take one gradient step per environment step once `learningStart` steps
 /// have elapsed. Produces the MetricsLog that Figure 4 is drawn from.
 ///
-/// Two schedules share one Trainer:
-///  * sequential — one Environment, one episode at a time (the paper's
-///    loop, and the bit-identity reference);
-///  * vectorized — a VectorEnv of V lockstep envs. Each lockstep step
-///    runs ONE batched Q-forward over all V states (gemmABt register
-///    tiles), selects V epsilon-greedy actions, steps all envs (the
-///    docking VectorEnv scores all candidate poses in one batched
-///    receptor sweep), then commits V transitions in env-index order.
-///    Epsilon and the replay/target-sync cadences are counted in
-///    *transitions* (globalStep_), not lockstep iterations, so learning
-///    dynamics match the sequential baseline and V=1 reproduces it
-///    bit-for-bit (single shared RNG stream, scalar scoring path, and
-///    per-row-identical batched predict).
+/// One collection loop serves every run: V lockstep envs behind a
+/// VectorEnv. Each lockstep step runs ONE batched Q-forward over all V
+/// states (gemmABt register tiles), selects V epsilon-greedy actions,
+/// steps all envs (the docking VectorEnv scores all candidate poses in
+/// one batched receptor sweep), then commits V transitions in env-index
+/// order. Epsilon and the replay/target-sync cadences are counted in
+/// *transitions* (globalStep_), not lockstep iterations. A Trainer over
+/// one scalar Environment runs the same loop at V = 1 through a one-env
+/// LockstepVectorEnv, where it is Algorithm 2 transition for transition:
+/// one shared RNG stream drawn in selectAction's order, max and argmax
+/// from a predict that is bit-identical per row for any batch height,
+/// and a reset at every episode start. Tests pin it bit for bit against
+/// a test-local copy of Algorithm 2's one-env loop.
 
 #include <functional>
+#include <memory>
 
 #include "src/common/rng.hpp"
 #include "src/rl/dqn_agent.hpp"
@@ -41,41 +42,42 @@ struct TrainerConfig {
   std::size_t logEveryEpisodes = 0;   ///< progress log cadence; 0 = silent
 };
 
-/// Exploration stream for one env of the vectorized schedule, derived
-/// from (seed, env index) only — the ligandScreenStream idiom — so a
-/// V-env run is reproducible regardless of thread count or scheduling.
-/// Only used when V > 1: a single-env run keeps the sequential trainer's
-/// one shared stream so it stays bit-identical to the baseline.
+/// Exploration stream for one env of a V > 1 run, derived from
+/// (seed, env index) only — the ligandScreenStream idiom — so a V-env
+/// run is reproducible regardless of thread count or scheduling. A
+/// single-env run keeps the trainer's one shared stream (also used by
+/// learn()), so it draws exactly what Algorithm 2 draws.
 Rng trainerEnvStream(std::uint64_t seed, std::uint64_t envIndex);
 
 class Trainer {
  public:
-  /// `replay` is used both as sink (push) and source (sample); pass the
-  /// same object twice when using a plain ReplayBuffer.
+  /// Trains on one scalar Environment: the lockstep loop at V = 1 over
+  /// a one-env LockstepVectorEnv that wraps `env` (which must outlive
+  /// the trainer). `replay` is used both as sink (push) and source
+  /// (sample); pass the same object twice when using a plain ReplayBuffer.
   Trainer(Environment& env, DqnAgent& agent, ExperienceSink& sink, ExperienceSource& source,
           TrainerConfig config);
 
-  /// Vectorized schedule over envs.size() lockstep envs. Episode records
-  /// enter the metrics in completion order; run() stops once
-  /// config.episodes episodes have completed (transitions from the other
-  /// envs' unfinished episodes still train the agent).
+  /// Trains on envs.size() lockstep envs. Episode records enter the
+  /// metrics in completion order; run() stops once config.episodes
+  /// episodes have completed (transitions from the other envs'
+  /// unfinished episodes still train the agent).
   Trainer(VectorEnv& envs, DqnAgent& agent, ExperienceSink& sink, ExperienceSource& source,
           TrainerConfig config);
 
-  /// Run config.episodes episodes; returns the accumulated metrics.
+  /// Run config.episodes more episodes, each env starting a fresh one;
+  /// returns the accumulated metrics.
   const MetricsLog& run();
 
-  /// Run a single episode and append its record to the metrics.
-  /// Sequential schedule only (throws in vectorized mode — lockstep envs
-  /// have no single-episode granularity; use run()).
+  /// Collect until one more episode is recorded; returns its record.
+  /// Needs a single env (throws for V > 1, where the other envs'
+  /// episodes would be cut off mid-way; use run()).
   EpisodeRecord runEpisode();
 
   /// Evaluate the greedy policy (no exploration, no learning) for one
-  /// episode; returns its record without touching the training metrics.
-  /// In vectorized mode this plays env 0 on its own, outside the batch.
+  /// episode on env 0, outside the lockstep batch; returns its record
+  /// without touching the training metrics.
   EpisodeRecord evaluateGreedy();
-
-  bool vectorized() const { return venv_ != nullptr; }
 
   std::size_t globalStep() const { return globalStep_; }
   const MetricsLog& metrics() const { return metrics_; }
@@ -86,15 +88,16 @@ class Trainer {
   }
 
  private:
-  EpisodeRecord playEpisode(bool exploring, bool learning);
-  const MetricsLog& runVectorized();
-  /// Stream for env i's action selection. V=1 reuses the sequential
-  /// trainer's single stream (also used by learn()) for bit-identity;
-  /// V>1 keys one independent stream per env.
+  /// The one collection loop: steps all envs in lockstep until
+  /// `episodes` more episodes are recorded.
+  const MetricsLog& collect(std::size_t episodes);
+  /// Stream for env i's action selection. V=1 uses the single stream
+  /// that learn() also draws from, as Algorithm 2 does; V>1 keys one
+  /// independent stream per env.
   Rng& actionRng(std::size_t i);
   void logEpisode(const EpisodeRecord& record) const;
 
-  Environment* env_ = nullptr;
+  std::unique_ptr<LockstepVectorEnv> ownedEnvs_;  ///< set when built from one Environment
   VectorEnv* venv_ = nullptr;
   DqnAgent& agent_;
   ExperienceSink& sink_;

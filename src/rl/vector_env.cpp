@@ -5,10 +5,9 @@
 
 namespace dqndock::rl {
 
-LockstepVectorEnv::LockstepVectorEnv(std::vector<std::unique_ptr<Environment>> envs)
-    : envs_(std::move(envs)) {
+LockstepVectorEnv::LockstepVectorEnv(std::vector<Environment*> envs) : envs_(std::move(envs)) {
   if (envs_.empty()) throw std::invalid_argument("LockstepVectorEnv: need at least one env");
-  for (const auto& e : envs_) {
+  for (const Environment* e : envs_) {
     if (!e) throw std::invalid_argument("LockstepVectorEnv: null env");
     if (e->stateDim() != envs_.front()->stateDim() ||
         e->actionCount() != envs_.front()->actionCount()) {

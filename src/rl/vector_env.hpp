@@ -7,20 +7,20 @@
 /// written into rows of a single V x stateDim tensor — the shape the
 /// batched Q-forward (gemmABt register tiles) consumes directly.
 ///
-/// Ownership contract: multi-env experience collection belongs to
-/// VectorEnv + the vectorized Trainer schedule; it is the only
-/// collection path besides the sequential trainer. `batchedSteps`
-/// counts the step() calls that batched work across envs, so tests can
-/// assert which implementation did the stepping.
+/// Ownership contract: experience collection belongs to VectorEnv + the
+/// Trainer's one lockstep loop; it is the only collection path. A
+/// trainer over a single scalar Environment steps it through a one-env
+/// LockstepVectorEnv. `batchedSteps` counts the step() calls that
+/// batched work across envs, so tests can assert which implementation
+/// did the stepping.
 ///
 /// Episode boundaries: step() does NOT auto-reset. When results[i]
 /// reports terminal, the caller records the episode and calls
-/// reset(i, row) before the next lockstep step — the same env call
-/// order the sequential trainer produces (reset at episode start), which
-/// is part of why V=1 reproduces the sequential run bit-for-bit.
+/// reset(i, row) before the next lockstep step — the env call order of
+/// the paper's Algorithm 2 (reset at episode start), which is part of
+/// why the loop at V=1 reproduces Algorithm 2 bit-for-bit.
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -63,10 +63,11 @@ class VectorEnv {
 /// Generic lockstep wrapper over scalar Environments: steps each env
 /// sequentially inside step(). No batching (batchedSteps() stays 0) —
 /// this is the reference semantics used by tests and by envs without a
-/// batched fast path.
+/// batched fast path. Non-owning: the caller keeps every env alive for
+/// the wrapper's lifetime (a Trainer over one Environment wraps it here).
 class LockstepVectorEnv final : public VectorEnv {
  public:
-  explicit LockstepVectorEnv(std::vector<std::unique_ptr<Environment>> envs);
+  explicit LockstepVectorEnv(std::vector<Environment*> envs);
 
   std::size_t size() const override { return envs_.size(); }
   std::size_t stateDim() const override;
@@ -78,10 +79,8 @@ class LockstepVectorEnv final : public VectorEnv {
   EnvStep stepOne(std::size_t i, int action, std::span<double> nextState) override;
   double score(std::size_t i) const override { return envs_[i]->score(); }
 
-  Environment& env(std::size_t i) { return *envs_[i]; }
-
  private:
-  std::vector<std::unique_ptr<Environment>> envs_;
+  std::vector<Environment*> envs_;
   std::vector<double> scratch_;  ///< bridges the vector-based Environment API
 };
 
