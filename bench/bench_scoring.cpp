@@ -8,6 +8,8 @@
 //     scalar AoS fallback (`ScoringOptions::packed = false`, the pre-PR
 //     kernel) — the A/B pair scripts/bench_scoring.py turns into
 //     BENCH_scoring.json,
+//   * the per-pose score of the rest pose every episode and dock starts
+//     from, where no H-bond site is within the cutoff,
 //   * the pose-batched kernel (one receptor sweep scores a whole tile of
 //     poses; subcell cutoff-sphere slicing) over a batch-size sweep,
 //   * a thread-count sweep over a batch of poses.
@@ -106,6 +108,23 @@ static void BM_ScoreCutoffWithGridScalar(benchmark::State& state) {
   scoreLoop(state, problemWithGrid(), makeOptions(12.0, true, false));
 }
 BENCHMARK(BM_ScoreCutoffWithGridScalar);
+
+/// Per-pose score of the scenario's rest pose, where every episode and
+/// every dock begins: the ligand at its input centroid, beyond the cutoff
+/// of every H-bond site. Items are poses, so items_per_second is
+/// poses/s (the other per-pose rows score the pocket pose).
+static void BM_ScoreStartPose(benchmark::State& state) {
+  Problem& p = problemWithGrid();
+  ScoringFunction sf(*p.receptor, *p.ligand, makeOptions(12.0, true, true));
+  const Pose start = p.ligand->restPose();
+  std::vector<Vec3> scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sf.scorePose(start, scratch));
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()));
+  state.SetLabel("rest pose");
+}
+BENCHMARK(BM_ScoreStartPose);
 
 /// Pose-batched kernel at batch size B: the local-search shape, B jitters
 /// of one pocket pose scored in one receptor sweep. Items are normalised

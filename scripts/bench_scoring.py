@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the Eq. 1 scoring benchmarks and emit BENCH_scoring.json.
 
-Covers the packed-vs-scalar A/B per execution path plus the pose-batched
-kernel (pairs/second at several batch sizes). Refuses to publish numbers
+Covers the packed-vs-scalar A/B per execution path, the per-pose score of
+the rest pose every episode and dock starts from (poses/second), and the
+pose-batched kernel (pairs/second at several batch sizes). Refuses to publish numbers
 measured from a debug harness build unless --allow-debug is passed.
 
 Stdlib only. Usage:
@@ -17,6 +18,7 @@ measured paths map to the benchmark pairs:
     brute_force_no_cutoff : BM_ScoreBruteForceNoCutoff[Scalar]
     cutoff_no_grid        : BM_ScoreCutoffNoGrid[Scalar]
     cutoff_with_grid      : BM_ScoreCutoffWithGrid[Scalar]
+    start_pose            : BM_ScoreStartPose (poses_per_second)
     pose_batched          : BM_ScorePoseBatched/{1,8,32}, BM_ScorePoseBatchedSpread/32
 
 items_per_second is poses * receptor_atoms * ligand_atoms * iterations /
@@ -48,6 +50,9 @@ BATCHED_MAP = {
     "BM_ScorePoseBatched/32": "batch_32",
     "BM_ScorePoseBatchedSpread/32": "spread_batch_32",
 }
+
+# per-pose rest-pose benchmark; its items are poses, not pairs
+START_POSE_BENCH = "BM_ScoreStartPose"
 
 DEBUG_BUILD_TYPES = {"", "debug"}
 
@@ -115,8 +120,12 @@ def main() -> None:
 
     paths: dict = {}
     batched: dict = {}
+    start_pose: dict = {}
     for bench in raw.get("benchmarks", []):
         name = bench.get("name", "")
+        if name == START_POSE_BENCH:
+            start_pose["poses_per_second"] = bench["items_per_second"]
+            continue
         if name in BATCHED_MAP:
             batched[BATCHED_MAP[name]] = bench["items_per_second"]
             continue
@@ -129,6 +138,8 @@ def main() -> None:
     missing = [k for k in {p for p, _ in BENCH_MAP.values()}
                if len(paths.get(k, {})) != 2]
     missing += [k for k in BATCHED_MAP.values() if k not in batched]
+    if not start_pose:
+        missing.append("start_pose")
     if missing:
         raise SystemExit(f"incomplete benchmark output: {sorted(missing)}")
 
@@ -150,6 +161,9 @@ def main() -> None:
         # probe or DQNDOCK_FORCE_KERNEL): "avx512" or "generic".
         "kernel_tier": ctx.get("dqndock_kernel_tier"),
         "paths": paths,
+        # poses/s, not pairs/s: the rest pose every episode and dock
+        # starts from, scored per pose on the grid path.
+        "start_pose": start_pose,
         "pose_batched": batched,
         "acceptance": {
             "required_speedup_pose_batched_b32": 2.0,
@@ -164,6 +178,7 @@ def main() -> None:
         print(f"  {path_key:22s} packed {s['packed'] / 1e6:8.1f} M pairs/s  "
               f"scalar {s['scalar'] / 1e6:8.1f} M pairs/s  "
               f"({s['packed_over_scalar']:.2f}x)")
+    print(f"  {'start_pose':22s} {start_pose['poses_per_second'] / 1e3:8.1f} k poses/s")
     print(f"  {'pose_batched B=32':22s} batched {batched['batch_32'] / 1e6:7.1f} M pairs/s  "
           f"({batched['batched_over_per_pose_b32']:.2f}x per-pose grid)")
 

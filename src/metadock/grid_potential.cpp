@@ -130,18 +130,20 @@ GridPotential::GridPotential(const ReceptorModel& receptor, GridPotentialOptions
               }
             }
           }
-          // Fold the aligned 12-10 H-bond well into the N/O maps: the
-          // receptor's donor hydrogens are a packed sparse list, so this
-          // second pass costs a handful of sites per point.
+          // Fold the aligned 12-10 H-bond well into the N/O maps: a second
+          // pass over the receptor's donor hydrogens, in the cells the
+          // cutoff can reach around the point (the scoring pass's walk).
           double hbWell = 0.0;
-          for (const ReceptorModel::HBondSite& d : receptor.donorHydrogenSites()) {
-            const double r2 = distance2(d.pos, p);
-            if (r2 > cut2) continue;
-            const double r2c = r2 > kMinDist2 ? r2 : kMinDist2;
-            const double r10 = r2c * r2c * r2c * r2c * r2c;
-            const double r12 = r10 * r2c;
-            hbWell += hb.c12 / r12 - hb.d10 / r10;
-          }
+          receptor.forEachSiteNear(
+              receptor.donorHydrogenSites(), p, options_.cutoff,
+              [&](const ReceptorModel::HBondSite& d) {
+                const double r2 = distance2(d.pos, p);
+                if (r2 > cut2) return;
+                const double r2c = r2 > kMinDist2 ? r2 : kMinDist2;
+                const double r10 = r2c * r2c * r2c * r2c * r2c;
+                const double r12 = r10 * r2c;
+                hbWell += hb.c12 / r12 - hb.d10 / r10;
+              });
           electrostatic_->at(ix, iy, static_cast<int>(z)) =
               std::clamp(chem::kCoulomb * elec, -options_.energyClamp, options_.energyClamp);
           for (std::size_t pe = 0; pe < kNumProbes; ++pe) {

@@ -1,5 +1,6 @@
 #include "src/metadock/neighbor_grid.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -119,12 +120,14 @@ int NeighborGrid::gatherRanges(int cx, int cy, int cz, Range* out) const {
 
 bool NeighborGrid::cellCoords(const Vec3& query, int& cx, int& cy, int& cz) const {
   // Compute floor coords as doubles first: far-away queries would
-  // overflow int, but they also can't overlap the box.
+  // overflow int, but they also can't overlap the box. The test is
+  // written so a NaN coordinate fails it too; casting NaN to int is
+  // undefined.
   const double fx = std::floor((query.x - origin_.x) / cell_);
   const double fy = std::floor((query.y - origin_.y) / cell_);
   const double fz = std::floor((query.z - origin_.z) / cell_);
-  if (fx < -1.0 || fx > static_cast<double>(nx_) || fy < -1.0 || fy > static_cast<double>(ny_) ||
-      fz < -1.0 || fz > static_cast<double>(nz_)) {
+  if (!(fx >= -1.0 && fx <= static_cast<double>(nx_) && fy >= -1.0 &&
+        fy <= static_cast<double>(ny_) && fz >= -1.0 && fz <= static_cast<double>(nz_))) {
     return false;
   }
   cx = static_cast<int>(fx);
@@ -146,6 +149,28 @@ int NeighborGrid::queryRanges(const Vec3& query, Range* out) const {
     return static_cast<int>(end - first);
   }
   return gatherRanges(cx, cy, cz, out);
+}
+
+bool NeighborGrid::cellWindow(const Vec3& lo, const Vec3& hi, double reach,
+                              CellWindow& out) const {
+  if (order_.empty()) return false;
+  const double fx0 = std::floor((lo.x - reach - origin_.x) / cell_);
+  const double fx1 = std::floor((hi.x + reach - origin_.x) / cell_);
+  const double fy0 = std::floor((lo.y - reach - origin_.y) / cell_);
+  const double fy1 = std::floor((hi.y + reach - origin_.y) / cell_);
+  const double fz0 = std::floor((lo.z - reach - origin_.z) / cell_);
+  const double fz1 = std::floor((hi.z + reach - origin_.z) / cell_);
+  const bool overlaps = fx1 >= 0.0 && fx0 <= static_cast<double>(nx_ - 1) && fy1 >= 0.0 &&
+                        fy0 <= static_cast<double>(ny_ - 1) && fz1 >= 0.0 &&
+                        fz0 <= static_cast<double>(nz_ - 1);
+  if (!overlaps) return false;
+  out.x0 = static_cast<int>(std::max(fx0, 0.0));
+  out.x1 = static_cast<int>(std::min(fx1, static_cast<double>(nx_ - 1)));
+  out.y0 = static_cast<int>(std::max(fy0, 0.0));
+  out.y1 = static_cast<int>(std::min(fy1, static_cast<double>(ny_ - 1)));
+  out.z0 = static_cast<int>(std::max(fz0, 0.0));
+  out.z1 = static_cast<int>(std::min(fz1, static_cast<double>(nz_ - 1)));
+  return true;
 }
 
 std::vector<std::size_t> NeighborGrid::near(const Vec3& query) const {

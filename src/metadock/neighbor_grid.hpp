@@ -44,6 +44,21 @@ class NeighborGrid {
   /// A 27-cell neighbourhood merges into at most 9 x-rows.
   static constexpr int kMaxQueryRanges = 9;
 
+  /// Conservative fp slack for cutoff geometry over the grid: inflating a
+  /// reach (or a subcell box) by it lets floor/division rounding only add
+  /// cells, never drop a point within the un-inflated distance.
+  static constexpr double kGeomMargin = 1e-6;
+
+  /// Inclusive in-box cell window [x0, x1] x [y0, y1] x [z0, z1].
+  struct CellWindow {
+    int x0 = 0, x1 = -1, y0 = 0, y1 = -1, z0 = 0, z1 = -1;
+
+    std::size_t cellCount() const {
+      return static_cast<std::size_t>(x1 - x0 + 1) * static_cast<std::size_t>(y1 - y0 + 1) *
+             static_cast<std::size_t>(z1 - z0 + 1);
+    }
+  };
+
   /// Builds a grid with cell edge `cellSize` (usually the scoring cutoff)
   /// over `points`. cellSize must be > 0. `subdiv` >= 2 additionally
   /// groups the points of every cell by subdiv^3 subcells (see
@@ -94,6 +109,14 @@ class NeighborGrid {
   /// order, i.e. points are order_[first..first+count). Queries anywhere
   /// in space are valid; far-outside queries yield 0 ranges.
   int queryRanges(const Vec3& query, Range* out) const;
+
+  /// Sets `out` to the in-box cells that can hold a point within `reach`
+  /// of the axis-aligned box [lo, hi] (lo == hi for one point); callers
+  /// pass reach = cutoff + kGeomMargin. Returns false when that window
+  /// misses the grid, which includes a non-finite box. Any coordinate is
+  /// valid: the floors are taken in doubles, so far boxes cannot overflow
+  /// int. Cells x0..x1 of one (y, z) row are one slice of cellOrder().
+  bool cellWindow(const Vec3& lo, const Vec3& hi, double reach, CellWindow& out) const;
 
   /// Invoke fn(pointIndex) for every stored point within the 27-cell
   /// neighbourhood of `query` (superset of all points within cellSize of

@@ -1,5 +1,6 @@
 #include "src/metadock/receptor_model.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/chem/topology.hpp"
@@ -54,20 +55,38 @@ ReceptorModel::ReceptorModel(const chem::Molecule& receptor, double gridCellSize
     packedElements_[i] = elements_[src];
   }
 
-  // Sparse H-bond site lists (packed order, so the second scoring pass
-  // visits them in a deterministic order independent of thread count).
+  // H-bond site lists (packed order, so a site pass visits them in a
+  // deterministic order independent of thread count), each with its
+  // per-cell offsets: a cell's sites are those whose packed index lies
+  // in the cell's slice of the packed order.
+  std::vector<std::uint32_t> donorPacked, acceptorPacked;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t src = packedOrder_[i];
     switch (roles_[src]) {
       case chem::HBondRole::kDonorHydrogen:
-        donorSites_.push_back({positions_[src], donorDirs_[src], elements_[src]});
+        donorSites_.sites.push_back({positions_[src], donorDirs_[src], elements_[src]});
+        donorPacked.push_back(static_cast<std::uint32_t>(i));
         break;
       case chem::HBondRole::kAcceptor:
-        acceptorSites_.push_back({positions_[src], Vec3{}, elements_[src]});
+        acceptorSites_.sites.push_back({positions_[src], Vec3{}, elements_[src]});
+        acceptorPacked.push_back(static_cast<std::uint32_t>(i));
         break;
       case chem::HBondRole::kNone:
         break;
     }
+  }
+  if (grid_) {
+    const std::vector<std::uint32_t>& cellOffsets = grid_->cellOffsets();
+    auto siteOffsets = [&cellOffsets](const std::vector<std::uint32_t>& packed) {
+      std::vector<std::uint32_t> out(cellOffsets.size());
+      for (std::size_t c = 0; c < cellOffsets.size(); ++c) {
+        out[c] = static_cast<std::uint32_t>(
+            std::lower_bound(packed.begin(), packed.end(), cellOffsets[c]) - packed.begin());
+      }
+      return out;
+    };
+    donorSites_.cellOffsets = siteOffsets(donorPacked);
+    acceptorSites_.cellOffsets = siteOffsets(acceptorPacked);
   }
 }
 

@@ -11,9 +11,14 @@
 /// (identity when no grid is built) with separate contiguous
 /// x/y/z/charge/element arrays, so grid query ranges map to straight-line
 /// walks over flat doubles. Hydrogen-bond-capable atoms (donor hydrogens,
-/// acceptors) are additionally extracted into small packed site lists so
-/// the sparse H-bond term can run as its own pass outside the hot loop.
+/// acceptors) are additionally extracted into packed site lists so the
+/// H-bond term can run as its own pass outside the hot loop. Each list
+/// carries a per-cell offset table, so that pass (and the affinity maps'
+/// H-bond well) visits only the grid cells its cutoff can reach rather
+/// than every site: on the paper-2BSM receptor 1,254 of the 3,264 atoms
+/// are acceptor sites.
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -37,6 +42,16 @@ class ReceptorModel {
     Vec3 pos;
     Vec3 donorDir;  ///< anchor->hydrogen unit vector; zero for acceptors
     chem::Element element = chem::Element::Unknown;
+  };
+
+  /// One packed H-bond site list. With a grid, `cellOffsets` holds
+  /// numCells+1 prefix sums: the sites of cell c (dense linear index) are
+  /// sites[cellOffsets[c] .. cellOffsets[c + 1]), so the cells x0..x1 of
+  /// one (y, z) row are one contiguous slice, as in the packed arrays.
+  /// Empty without a grid.
+  struct SiteList {
+    std::vector<HBondSite> sites;
+    std::vector<std::uint32_t> cellOffsets;
   };
 
   /// Compiles `receptor`. When gridCellSize > 0 a NeighborGrid is built
@@ -63,9 +78,36 @@ class ReceptorModel {
   const std::vector<double>& packedCharges() const { return packedCharges_; }
   const std::vector<chem::Element>& packedElements() const { return packedElements_; }
 
-  /// Packed H-bond site lists (sparse subsets, packed order).
-  const std::vector<HBondSite>& donorHydrogenSites() const { return donorSites_; }
-  const std::vector<HBondSite>& acceptorSites() const { return acceptorSites_; }
+  /// Packed H-bond site lists (subsets of the atoms, packed order).
+  const SiteList& donorHydrogenSites() const { return donorSites_; }
+  const SiteList& acceptorSites() const { return acceptorSites_; }
+
+  /// Calls fn(site) for each site of `list` in the grid-cell window that
+  /// covers `cutoff` around `p` (NeighborGrid::cellWindow), row by (z, y)
+  /// row. The visits are in ascending packed order and include every site
+  /// within `cutoff` of `p`, so a caller that keeps its exact cutoff test
+  /// adds the same sites in the same order as a walk of the whole list,
+  /// bit for bit. Without a grid, or for a non-finite `p` (whose cutoff
+  /// test rejects nothing, so a NaN stays NaN), this walks the whole list.
+  template <typename Fn>
+  void forEachSiteNear(const SiteList& list, const Vec3& p, double cutoff, Fn&& fn) const {
+    if (list.sites.empty()) return;
+    if (!grid_ || !std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z)) {
+      for (const HBondSite& s : list.sites) fn(s);
+      return;
+    }
+    NeighborGrid::CellWindow w;
+    if (!grid_->cellWindow(p, p, cutoff + NeighborGrid::kGeomMargin, w)) return;
+    for (int z = w.z0; z <= w.z1; ++z) {
+      for (int y = w.y0; y <= w.y1; ++y) {
+        const std::uint32_t end = list.cellOffsets[grid_->cellLinearIndex(w.x1, y, z) + 1];
+        for (std::uint32_t k = list.cellOffsets[grid_->cellLinearIndex(w.x0, y, z)]; k < end;
+             ++k) {
+          fn(list.sites[k]);
+        }
+      }
+    }
+  }
 
   const chem::Molecule& molecule() const { return molecule_; }
   Vec3 centerOfMass() const { return centerOfMass_; }
@@ -86,7 +128,7 @@ class ReceptorModel {
   std::vector<std::uint32_t> packedOrder_;
   std::vector<double> packedX_, packedY_, packedZ_, packedCharges_;
   std::vector<chem::Element> packedElements_;
-  std::vector<HBondSite> donorSites_, acceptorSites_;
+  SiteList donorSites_, acceptorSites_;
 };
 
 }  // namespace dqndock::metadock

@@ -190,36 +190,35 @@ ScoreTerms ScoringFunction::packedAtomEnergy(std::size_t la, const Vec3& lpos,
 double ScoringFunction::packedHBondEnergy(std::size_t la, const Vec3& lpos,
                                           const Vec3* anchorPos) const {
   // Donor hydrogen on one side, acceptor on the other. The cutoff test
-  // mirrors the scalar path exactly; with a grid, every in-cutoff site is
-  // inside the 27-neighbourhood by construction (cell size >= cutoff), so
-  // scanning the full list loses nothing.
-  double hb = 0.0;
+  // mirrors the scalar path exactly. When grid-pruned, the walk visits
+  // only the sites in the cell window the cutoff can reach, in the list's
+  // own order, so the sum is bit-identical to scanning the full list.
   const HBondRole lRole = ligRoles_[la];
-  if (lRole == HBondRole::kAcceptor) {
-    const Element le = ligElems_[la];
-    for (const ReceptorModel::HBondSite& d : receptor_.donorHydrogenSites()) {
-      const double r = distance(d.pos, lpos);
-      if (options_.cutoff > 0.0 && r > options_.cutoff) continue;
-      const chem::LjParams lj =
-          ljTable_[static_cast<std::size_t>(d.element)][static_cast<std::size_t>(le)];
-      const Vec3 toAcceptor = (lpos - d.pos).normalized();
-      const double cosTheta = d.donorDir.norm2() > 0.0 ? d.donorDir.dot(toAcceptor) : 1.0;
-      hb += hbondEnergy(hbond_, lj.epsilon, lj.sigma, r, cosTheta);
+  if (lRole == HBondRole::kNone) return 0.0;
+  const bool ligandAcceptor = lRole == HBondRole::kAcceptor;
+  const ReceptorModel::SiteList& sites =
+      ligandAcceptor ? receptor_.donorHydrogenSites() : receptor_.acceptorSites();
+  const Element le = ligElems_[la];
+  double hb = 0.0;
+  auto addSite = [&](const ReceptorModel::HBondSite& site) {
+    const double r = distance(site.pos, lpos);
+    if (options_.cutoff > 0.0 && r > options_.cutoff) return;
+    const chem::LjParams lj =
+        ljTable_[static_cast<std::size_t>(site.element)][static_cast<std::size_t>(le)];
+    double cosTheta = 1.0;
+    if (ligandAcceptor) {
+      const Vec3 toAcceptor = (lpos - site.pos).normalized();
+      if (site.donorDir.norm2() > 0.0) cosTheta = site.donorDir.dot(toAcceptor);
+    } else if (anchorPos != nullptr) {
+      const Vec3 dir = (lpos - *anchorPos).normalized();
+      cosTheta = dir.dot((site.pos - lpos).normalized());
     }
-  } else if (lRole == HBondRole::kDonorHydrogen) {
-    const Element le = ligElems_[la];
-    for (const ReceptorModel::HBondSite& a : receptor_.acceptorSites()) {
-      const double r = distance(a.pos, lpos);
-      if (options_.cutoff > 0.0 && r > options_.cutoff) continue;
-      const chem::LjParams lj =
-          ljTable_[static_cast<std::size_t>(a.element)][static_cast<std::size_t>(le)];
-      double cosTheta = 1.0;
-      if (anchorPos != nullptr) {
-        const Vec3 dir = (lpos - *anchorPos).normalized();
-        cosTheta = dir.dot((a.pos - lpos).normalized());
-      }
-      hb += hbondEnergy(hbond_, lj.epsilon, lj.sigma, r, cosTheta);
-    }
+    hb += hbondEnergy(hbond_, lj.epsilon, lj.sigma, r, cosTheta);
+  };
+  if (options_.useGrid && options_.cutoff > 0.0) {
+    receptor_.forEachSiteNear(sites, lpos, options_.cutoff, addSite);
+  } else {
+    for (const ReceptorModel::HBondSite& site : sites.sites) addSite(site);
   }
   return hb;
 }
@@ -228,15 +227,6 @@ ScoreTerms ScoringFunction::atomEnergy(std::size_t la, const Vec3& lpos,
                                        std::span<const Vec3> all) const {
   return options_.packed ? packedAtomEnergy(la, lpos, all) : scalarAtomEnergy(la, lpos, all);
 }
-
-namespace {
-
-/// Conservative fp slack for the subcell pruning geometry: inflates the
-/// cutoff reach and subcell boxes so floor/division rounding can only add
-/// masked (exact-zero) work, never drop an in-cutoff pair.
-constexpr double kGeomMargin = 1e-6;
-
-}  // namespace
 
 void ScoringFunction::energyBatchTile(std::span<const Pose> poses, BatchScratch& s,
                                       std::span<ScoreTerms> out) const {
@@ -284,6 +274,10 @@ void ScoringFunction::energyBatchTile(std::span<const Pose> poses, BatchScratch&
       kernel_->sweepRanges(X, Y, Z, Q, EPS, SG2, whole, 1, lx, ly, lz, L, cut2, elecAcc, vdwAcc);
     } else if (rn > 0) {
       const NeighborGrid& g = receptor_.grid();
+      // The grid-geometry slack inflates the cutoff reach and the subcell
+      // boxes, so rounding can only add masked (exact-zero) work, never
+      // drop an in-cutoff pair.
+      constexpr double kGeomMargin = NeighborGrid::kGeomMargin;
       const double reach = options_.cutoff + kGeomMargin;
       const double cut2m = reach * reach;
       const double cell = g.cellSize();
@@ -322,28 +316,15 @@ void ScoringFunction::energyBatchTile(std::span<const Pose> poses, BatchScratch&
           bz0 = std::min(bz0, lz[b]);
           bz1 = std::max(bz1, lz[b]);
         }
-        // Cell window covering the cutoff reach of the bounding box, as
-        // doubles first so far-away lanes cannot overflow int.
-        const double fx0 = std::floor((bx0 - reach - o.x) / cell);
-        const double fx1 = std::floor((bx1 + reach - o.x) / cell);
-        const double fy0 = std::floor((by0 - reach - o.y) / cell);
-        const double fy1 = std::floor((by1 + reach - o.y) / cell);
-        const double fz0 = std::floor((bz0 - reach - o.z) / cell);
-        const double fz1 = std::floor((bz1 + reach - o.z) / cell);
-        const bool overlaps = fx1 >= 0.0 && fx0 <= static_cast<double>(g.nx() - 1) &&
-                              fy1 >= 0.0 && fy0 <= static_cast<double>(g.ny() - 1) &&
-                              fz1 >= 0.0 && fz0 <= static_cast<double>(g.nz() - 1);
-        if (!overlaps) continue;  // every lane in the group is beyond reach
-        const int px0 = static_cast<int>(std::max(fx0, 0.0));
-        const int px1 = static_cast<int>(std::min(fx1, static_cast<double>(g.nx() - 1)));
-        const int py0 = static_cast<int>(std::max(fy0, 0.0));
-        const int py1 = static_cast<int>(std::min(fy1, static_cast<double>(g.ny() - 1)));
-        const int pz0 = static_cast<int>(std::max(fz0, 0.0));
-        const int pz1 = static_cast<int>(std::min(fz1, static_cast<double>(g.nz() - 1)));
-        const std::size_t windowCells = static_cast<std::size_t>(px1 - px0 + 1) *
-                                        static_cast<std::size_t>(py1 - py0 + 1) *
-                                        static_cast<std::size_t>(pz1 - pz0 + 1);
-        if (windowCells > kMaxUnionWindowCells && b1 - b0 > 1) {
+        // Cell window covering the cutoff reach of the bounding box.
+        NeighborGrid::CellWindow win;
+        if (!g.cellWindow(Vec3{bx0, by0, bz0}, Vec3{bx1, by1, bz1}, reach, win)) {
+          continue;  // every lane in the group is beyond reach
+        }
+        const int px0 = win.x0, px1 = win.x1;
+        const int py0 = win.y0, py1 = win.y1;
+        const int pz0 = win.z0, pz1 = win.z1;
+        if (win.cellCount() > kMaxUnionWindowCells && b1 - b0 > 1) {
           const std::size_t mid = b0 + (b1 - b0) / 2;
           work[top++] = {static_cast<std::uint16_t>(mid), static_cast<std::uint16_t>(b1)};
           work[top++] = {static_cast<std::uint16_t>(b0), static_cast<std::uint16_t>(mid)};

@@ -19,9 +19,11 @@
 /// of them run the *packed* data-oriented kernel: pass 1 is a fused
 /// electrostatics+Lennard-Jones sweep over the receptor's cell-sorted
 /// SoA arrays with precomputed per-ligand-element pair-parameter rows
-/// (branch-free, auto-vectorisable); pass 2 scores the sparse
-/// hydrogen-bond term over the receptor's packed donor/acceptor site
-/// lists. `ScoringOptions::packed = false` selects the original scalar
+/// (branch-free, auto-vectorisable); pass 2 scores the hydrogen-bond
+/// term over the receptor's packed donor/acceptor site lists, visiting
+/// only the sites in the grid cells the cutoff reaches (the same sites
+/// in the same order as a walk of the whole list, so bit-identical to
+/// it). `ScoringOptions::packed = false` selects the original scalar
 /// AoS path for A/B testing; both paths agree to ~1e-9 relative.
 ///
 /// Threaded evaluation sums ordered per-ligand-atom partials, so scores
@@ -178,9 +180,12 @@ class ScoringFunction {
   ScoreTerms pairEnergy(std::size_t receptorAtom, std::size_t ligandAtom, const Vec3& ligandPos,
                         std::span<const Vec3> allLigandPositions) const;
 
-  /// Sparse H-bond pass for one (ligand atom, pose): identical operations
-  /// and site order for the per-pose and batched kernels. `anchorPos` is
-  /// the donor hydrogen's anchor heavy-atom position (nullptr if none).
+  /// H-bond pass for one (ligand atom, pose): identical operations and
+  /// site order for the per-pose and batched kernels. Grid-pruned, it
+  /// walks the sites in the cutoff's cell window
+  /// (ReceptorModel::forEachSiteNear), otherwise the whole list; both
+  /// sum the same sites in the same order. `anchorPos` is the donor
+  /// hydrogen's anchor heavy-atom position (nullptr if none).
   double packedHBondEnergy(std::size_t ligandAtom, const Vec3& ligandPos,
                            const Vec3* anchorPos) const;
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/chem/synthetic.hpp"
 #include "src/metadock/grid_potential.hpp"
@@ -160,6 +162,104 @@ TEST_F(GridPotentialFixture, GridScoringFunctionRanksLikeExact) {
   const double sClash = gsf.scorePose(clash, scratch);
   EXPECT_GT(sPocket, sFar);
   EXPECT_GT(sFar, sClash);
+}
+
+/// Test-local oracle: node (ix, iy, iz) of `probe`'s map as the fill
+/// computes it, but with the N/O H-bond well (also stored in `well`)
+/// summed over every donor site of the receptor rather than the cells
+/// the cutoff reaches.
+double fullWalkMapNode(const ReceptorModel& receptor, const GridPotentialOptions& opts,
+                       const ScalarGrid& map, chem::Element probe, int ix, int iy, int iz,
+                       double& well) {
+  const chem::ForceField& ff = chem::ForceField::standard();
+  const chem::HBondParams hb = ff.hbond();
+  const chem::PairRowTable row = ff.pairRows(probe, receptor.packedElements());
+  const double cut2 = opts.cutoff * opts.cutoff;
+  constexpr double kMinDist2 = kMinPairDistance * kMinPairDistance;
+  const Vec3 p = map.origin() + Vec3{ix * opts.spacing, iy * opts.spacing,
+                                     static_cast<double>(iz) * opts.spacing};
+
+  NeighborGrid::Range ranges[NeighborGrid::kMaxQueryRanges];
+  int numRanges = 1;
+  if (receptor.hasGrid() && receptor.grid().cellSize() + 1e-12 >= opts.cutoff) {
+    numRanges = receptor.grid().queryRanges(p, ranges);
+  } else {
+    ranges[0] = NeighborGrid::Range{0, static_cast<std::uint32_t>(receptor.atomCount())};
+  }
+  double lj = 0.0;
+  for (int k = 0; k < numRanges; ++k) {
+    for (std::size_t j = ranges[k].first; j < ranges[k].first + ranges[k].count; ++j) {
+      const double dx = receptor.packedX()[j] - p.x;
+      const double dy = receptor.packedY()[j] - p.y;
+      const double dz = receptor.packedZ()[j] - p.z;
+      const double r2 = dx * dx + dy * dy + dz * dz;
+      if (r2 > cut2) continue;
+      const double r2c = r2 > kMinDist2 ? r2 : kMinDist2;
+      const double rinv = 1.0 / std::sqrt(r2c);
+      const double s2 = row.sigma2[j] * (rinv * rinv);
+      const double s6 = s2 * s2 * s2;
+      lj += row.epsilon[j] * (s6 * s6 - s6);
+    }
+  }
+  double hbWell = 0.0;
+  for (const ReceptorModel::HBondSite& d : receptor.donorHydrogenSites().sites) {
+    const double r2 = distance2(d.pos, p);
+    if (r2 > cut2) continue;
+    const double r2c = r2 > kMinDist2 ? r2 : kMinDist2;
+    const double r10 = r2c * r2c * r2c * r2c * r2c;
+    hbWell += hb.c12 / (r10 * r2c) - hb.d10 / r10;
+  }
+  well = hbWell;
+  return std::clamp(4.0 * lj + hbWell, -opts.energyClamp, opts.energyClamp);
+}
+
+TEST(GridPotentialHBondWellTest, MapsMatchFullSiteWalkOnHBearingReceptor) {
+  // A 3-D lattice of hydroxyl O-H pairs: every hydrogen is a donor site,
+  // so the N/O maps' well carries weight, and the receptor grid spans
+  // several cells per axis, so the site walk skips cells. The N and O
+  // maps must equal the full-walk fill bit for bit, with cells at least
+  // the cutoff (pruned Lennard-Jones sweep) and smaller (window of more
+  // than 3 cells per axis).
+  chem::Molecule mol("hydroxyl-lattice");
+  for (int gz = 0; gz < 3; ++gz) {
+    for (int gy = 0; gy < 5; ++gy) {
+      for (int gx = 0; gx < 5; ++gx) {
+        const Vec3 o{gx * 4.0, gy * 4.0, gz * 4.0};
+        const int oi = mol.addAtom(chem::Element::O, o, -0.4, chem::HBondRole::kAcceptor);
+        const int hi = mol.addAtom(chem::Element::H, o + Vec3{0.3, 0.2, 0.9}, 0.4,
+                                   chem::HBondRole::kDonorHydrogen);
+        mol.addBond(oi, hi);
+      }
+    }
+  }
+  struct Case {
+    double cell, cutoff;
+  };
+  for (const Case c : {Case{6.0, 6.0}, Case{4.0, 9.0}}) {
+    const ReceptorModel receptor(mol, c.cell);
+    GridPotentialOptions opts;
+    opts.spacing = 2.0;
+    opts.padding = 8.0;
+    opts.cutoff = c.cutoff;
+    const GridPotential grid(receptor, opts);
+    for (const chem::Element e : {chem::Element::N, chem::Element::O}) {
+      const ScalarGrid& map = grid.elementMap(e);
+      std::size_t mismatches = 0, wellNodes = 0;
+      for (int iz = 0; iz < map.nz(); ++iz) {
+        for (int iy = 0; iy < map.ny(); ++iy) {
+          for (int ix = 0; ix < map.nx(); ++ix) {
+            double well = 0.0;
+            const double want = fullWalkMapNode(receptor, opts, map, e, ix, iy, iz, well);
+            const double got = map.at(ix, iy, iz);
+            if (std::memcmp(&got, &want, sizeof got) != 0) ++mismatches;
+            if (well != 0.0) ++wellNodes;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "cell " << c.cell << ", cutoff " << c.cutoff;
+      EXPECT_GT(wellNodes, 0u);
+    }
+  }
 }
 
 }  // namespace

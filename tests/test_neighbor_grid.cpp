@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "src/common/rng.hpp"
@@ -176,6 +177,39 @@ TEST(NeighborGridTest, FarOutsideQueriesYieldNoRanges) {
   EXPECT_TRUE(grid.near(Vec3{1e18, -1e18, 1e18}).empty());
   // Just outside the box (within one cell) still sees the boundary cells.
   EXPECT_GT(grid.queryRanges(Vec3{-1.5, 0.5, 0.5}, ranges), 0);
+}
+
+TEST(NeighborGridTest, NaNCoordinateYieldsNoRangesAndNoWindow) {
+  // A NaN on any one axis has no cell: no ranges, no window (the cell
+  // lookup must not cast NaN to int).
+  std::vector<Vec3> pts{{0, 0, 0}, {1, 1, 1}, {5, 4, 3}};
+  NeighborGrid grid(pts, 2.0);
+  NeighborGrid::Range ranges[NeighborGrid::kMaxQueryRanges];
+  NeighborGrid::CellWindow window;
+  const double nan = std::nan("");
+  for (const Vec3& q : {Vec3{nan, 1, 1}, Vec3{1, nan, 1}, Vec3{1, 1, nan}}) {
+    EXPECT_EQ(grid.queryRanges(q, ranges), 0);
+    EXPECT_FALSE(grid.cellWindow(q, q, 2.0, window));
+  }
+}
+
+TEST(NeighborGridTest, CellWindowCoversReachAroundBox) {
+  // Cells of edge 2 from the origin (0, 0, 0); the box grows 3x3x2.
+  std::vector<Vec3> pts{{0, 0, 0}, {5, 5, 3}};
+  NeighborGrid grid(pts, 2.0);
+  NeighborGrid::CellWindow w;
+  ASSERT_TRUE(grid.cellWindow(Vec3{2.5, 2.5, 0.5}, Vec3{2.5, 2.5, 0.5}, 1.0, w));
+  EXPECT_EQ(w.x0, 0);
+  EXPECT_EQ(w.x1, 1);
+  EXPECT_EQ(w.z0, 0);
+  EXPECT_EQ(w.z1, 0);
+  EXPECT_EQ(w.cellCount(), 4u);
+  // A box's window is clamped to the grid; beyond reach there is none.
+  ASSERT_TRUE(grid.cellWindow(Vec3{-1, -1, -1}, Vec3{9, 9, 9}, 0.5, w));
+  EXPECT_EQ(w.cellCount(), static_cast<std::size_t>(grid.nx()) * grid.ny() * grid.nz());
+  EXPECT_FALSE(grid.cellWindow(Vec3{-3, 0, 0}, Vec3{-3, 0, 0}, 0.5, w));
+  EXPECT_TRUE(grid.cellWindow(Vec3{-3, 0, 0}, Vec3{-3, 0, 0}, 3.0, w));
+  EXPECT_FALSE(grid.cellWindow(Vec3{1e300, 0, 0}, Vec3{1e300, 0, 0}, 3.0, w));
 }
 
 }  // namespace
