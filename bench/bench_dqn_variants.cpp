@@ -1,16 +1,15 @@
 // Ablation A4 (paper Section 5, limitation 4): "there exists new versions
 // of this algorithm ... such as DDQN, distributional DQN, dueling DDQN";
 // the authors leave exploring them as future work. Trains each variant on
-// the same scaled docking task and reports the Figure 4 quartile shape,
+// the same scaled docking task through the same rl::Trainer, so the rows
+// differ only in the agent, and reports the Figure 4 quartile shape,
 // best docking score and greedy-policy outcome per variant.
 //
 // Usage: bench_dqn_variants [--episodes=60] [--seed=3]
 
-#include <algorithm>
 #include <cstdio>
 
 #include "src/common/cli.hpp"
-#include "src/common/running_stats.hpp"
 #include "src/common/stopwatch.hpp"
 #include "src/core/dqn_docking.hpp"
 #include "src/rl/c51_agent.hpp"
@@ -19,9 +18,24 @@ using namespace dqndock;
 
 namespace {
 
-/// C51 does not share DqnAgent's class, so it gets a hand-rolled episode
-/// loop over the same DockingTask with the same schedule.
+struct VariantSpec {
+  const char* name;
+  rl::DqnVariant variant;
+  bool dueling;
+};
+
+void printRow(const char* name, const rl::MetricsLog& log, const rl::EpisodeRecord& greedy,
+              double seconds) {
+  const std::size_t n = log.size();
+  std::printf("%-14s %12.4f %12.4f %12.4f %12.2f %12.2f %8.1f\n", name,
+              log.meanAvgMaxQ(0, n / 4), log.meanAvgMaxQ(n / 4, 3 * n / 4),
+              log.meanAvgMaxQ(3 * n / 4, n), log.bestScoreOverall(), greedy.bestScore, seconds);
+}
+
+/// Distributional DQN (the third Section 5 variant): C51Agent on the task,
+/// replay and Trainer schedule the DQN rows get from core::DqnDocking.
 void runC51Row(const core::DqnDockingConfig& cfg, ThreadPool* pool) {
+  Stopwatch clock;
   const chem::Scenario scenario = chem::buildScenario(cfg.scenario);
   metadock::DockingEnv env(scenario, cfg.env);
   core::StateEncoder encoder(scenario, cfg.stateMode, cfg.normalizeStates);
@@ -38,60 +52,13 @@ void runC51Row(const core::DqnDockingConfig& cfg, ThreadPool* pool) {
   c51.vMin = -10.0;
   c51.vMax = 10.0;
   rl::C51Agent agent(encoder.dim(), env.actionCount(), c51, rng, pool);
-  rl::ReplayBuffer replay(cfg.replayCapacity, encoder.dim());
+  core::PoseReplayBuffer replay(cfg.replayCapacity, task);
 
-  Stopwatch clock;
-  rl::MetricsLog log;
-  std::vector<double> state, next;
-  std::size_t step = 0;
-  double bestScore = -1e300;
-  for (std::size_t episode = 0; episode < cfg.trainer.episodes; ++episode) {
-    task.reset(state);
-    rl::EpisodeRecord record;
-    record.episode = episode;
-    RunningStats maxQ;
-    bool terminal = false;
-    while (!terminal) {
-      maxQ.add(agent.maxQ(state));
-      const int action =
-          agent.selectAction(state, cfg.trainer.epsilon.value(step), rng);
-      const rl::EnvStep r = task.step(action, next);
-      replay.push(state, action, r.reward, next, r.terminal);
-      state = next;
-      terminal = r.terminal;
-      ++step;
-      ++record.steps;
-      record.totalReward += r.reward;
-      bestScore = std::max(bestScore, task.score());
-      if (step >= cfg.trainer.learningStart) agent.learn(replay, rng);
-    }
-    record.avgMaxQ = maxQ.mean();
-    log.add(record);
-  }
-  const std::size_t n = log.size();
-  // Greedy rollout.
-  task.reset(state);
-  double greedyBest = task.score();
-  for (int t = 0; t < cfg.env.maxSteps; ++t) {
-    const rl::EnvStep r = task.step(agent.greedyAction(state), next);
-    state = next;
-    greedyBest = std::max(greedyBest, task.score());
-    if (r.terminal) break;
-  }
-  std::printf("%-14s %12.4f %12.4f %12.4f %12.2f %12.2f %8.1f\n", "c51",
-              log.meanAvgMaxQ(0, n / 4), log.meanAvgMaxQ(n / 4, 3 * n / 4),
-              log.meanAvgMaxQ(3 * n / 4, n), bestScore, greedyBest, clock.seconds());
+  rl::Trainer trainer(task, agent, replay, replay, cfg.trainer);
+  trainer.run();
+  const rl::EpisodeRecord greedy = trainer.evaluateGreedy();
+  printRow("c51", trainer.metrics(), greedy, clock.seconds());
 }
-
-}  // namespace
-
-namespace {
-
-struct VariantSpec {
-  const char* name;
-  rl::DqnVariant variant;
-  bool dueling;
-};
 
 }  // namespace
 
@@ -113,31 +80,21 @@ int main(int argc, char** argv) {
   std::printf("%-14s %12s %12s %12s %12s %12s %8s\n", "variant", "earlyQ", "midQ", "lateQ",
               "bestScore", "greedyBest", "sec");
 
+  core::DqnDockingConfig cfg = core::DqnDockingConfig::scaled();
+  cfg.trainer.episodes = episodes;
+  cfg.trainer.seed = seed;
   for (const auto& spec : variants) {
-    core::DqnDockingConfig cfg = core::DqnDockingConfig::scaled();
-    cfg.trainer.episodes = episodes;
-    cfg.trainer.seed = seed;
-    cfg.agent.variant = spec.variant;
-    cfg.agent.dueling = spec.dueling;
+    core::DqnDockingConfig variantCfg = cfg;
+    variantCfg.agent.variant = spec.variant;
+    variantCfg.agent.dueling = spec.dueling;
 
     Stopwatch clock;
-    core::DqnDocking system(cfg, &pool);
+    core::DqnDocking system(variantCfg, &pool);
     system.train();
-    const rl::MetricsLog& log = system.metrics();
-    const std::size_t n = log.size();
     const rl::EpisodeRecord greedy = system.evaluateGreedy();
-    std::printf("%-14s %12.4f %12.4f %12.4f %12.2f %12.2f %8.1f\n", spec.name,
-                log.meanAvgMaxQ(0, n / 4), log.meanAvgMaxQ(n / 4, 3 * n / 4),
-                log.meanAvgMaxQ(3 * n / 4, n), log.bestScoreOverall(), greedy.bestScore,
-                clock.seconds());
+    printRow(spec.name, system.metrics(), greedy, clock.seconds());
   }
-  // Distributional DQN (the third Section 5 variant) via its own loop.
-  {
-    core::DqnDockingConfig cfg = core::DqnDockingConfig::scaled();
-    cfg.trainer.episodes = episodes;
-    cfg.trainer.seed = seed;
-    runC51Row(cfg, &pool);
-  }
+  runC51Row(cfg, &pool);
 
   std::printf("# paper context: only vanilla DQN was evaluated; the variants are the\n"
               "# Section 5 future-work candidates, reproduced here as an ablation.\n");

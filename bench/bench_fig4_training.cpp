@@ -19,6 +19,8 @@
 //   bench_fig4_training --vector-envs=8    # lockstep vectorized trainer
 //   bench_fig4_training --csv=fig4.csv     # dump the series
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "src/common/cli.hpp"
@@ -76,8 +78,24 @@ int main(int argc, char** argv) {
   std::printf("#   late   (last quarter):  %10.4f\n", late);
   std::printf("#   paper shape: rise from start, then plateau/decline (no convergence)\n");
   std::printf("#   reproduced rise:        %s (middle > early)\n", mid > early ? "yes" : "no");
-  std::printf("#   non-monotone tail:      %s (late <= middle or decline observed)\n",
-              late <= mid * 1.5 ? "yes" : "no");
+  // The decline: the highest full-window moving mean (the leading partial
+  // windows skipped) must end before the last quarter begins. A curve
+  // that still climbs at the end peaks inside the last quarter.
+  const std::size_t window = std::max<std::size_t>(5, n / 36);
+  const std::size_t lastQuarter = 3 * n / 4;
+  if (n >= window) {
+    const std::vector<double> smoothed = log.smoothedAvgMaxQ(window);
+    const auto peak = std::max_element(smoothed.begin() + static_cast<long>(window - 1),
+                                       smoothed.end());
+    const auto peakEnd = static_cast<std::size_t>(peak - smoothed.begin());
+    std::printf("#   peak %zu-episode mean:   %10.4f (episodes %zu-%zu)\n", window, *peak,
+                peakEnd + 1 - window, peakEnd);
+    std::printf("#   late drop from peak:    %9.1f%%\n", 100.0 * (*peak - late) / std::fabs(*peak));
+    std::printf("#   peak before last quarter: %s (the last quarter starts at episode %zu)\n",
+                peakEnd < lastQuarter ? "yes" : "no", lastQuarter);
+  } else {
+    std::printf("#   peak before last quarter: no (fewer than %zu episodes)\n", window);
+  }
   std::printf("# best docking score over training: %.2f\n", log.bestScoreOverall());
 
   const rl::EpisodeRecord greedy = system.evaluateGreedy();

@@ -4,10 +4,6 @@
 //   * brute force, no cutoff (Algorithm 1 of the paper),
 //   * cutoff without grid,
 //   * cutoff + neighbour-grid pruning,
-//   * each of the above for the packed SoA kernel (default) and the
-//     scalar AoS fallback (`ScoringOptions::packed = false`, the pre-PR
-//     kernel) — the A/B pair scripts/bench_scoring.py turns into
-//     BENCH_scoring.json,
 //   * the per-pose score of the rest pose every episode and dock starts
 //     from, where no H-bond site is within the cutoff,
 //   * the pose-batched kernel (one receptor sweep scores a whole tile of
@@ -66,48 +62,31 @@ void scoreLoop(benchmark::State& state, Problem& p, const ScoringOptions& opts) 
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
                           static_cast<long>(p.receptor->atomCount() * p.ligand->atomCount()));
-  state.SetLabel(opts.packed ? "packed" : "scalar");
 }
 
-ScoringOptions makeOptions(double cutoff, bool useGrid, bool packed) {
+ScoringOptions makeOptions(double cutoff, bool useGrid) {
   ScoringOptions opts;
   opts.cutoff = cutoff;
   opts.useGrid = useGrid;
-  opts.packed = packed;
   return opts;
 }
 
 }  // namespace
 
 static void BM_ScoreBruteForceNoCutoff(benchmark::State& state) {
-  scoreLoop(state, problemNoGrid(), makeOptions(0.0, false, true));
+  scoreLoop(state, problemNoGrid(), makeOptions(0.0, false));
 }
 BENCHMARK(BM_ScoreBruteForceNoCutoff);
 
-static void BM_ScoreBruteForceNoCutoffScalar(benchmark::State& state) {
-  scoreLoop(state, problemNoGrid(), makeOptions(0.0, false, false));
-}
-BENCHMARK(BM_ScoreBruteForceNoCutoffScalar);
-
 static void BM_ScoreCutoffNoGrid(benchmark::State& state) {
-  scoreLoop(state, problemNoGrid(), makeOptions(12.0, false, true));
+  scoreLoop(state, problemNoGrid(), makeOptions(12.0, false));
 }
 BENCHMARK(BM_ScoreCutoffNoGrid);
 
-static void BM_ScoreCutoffNoGridScalar(benchmark::State& state) {
-  scoreLoop(state, problemNoGrid(), makeOptions(12.0, false, false));
-}
-BENCHMARK(BM_ScoreCutoffNoGridScalar);
-
 static void BM_ScoreCutoffWithGrid(benchmark::State& state) {
-  scoreLoop(state, problemWithGrid(), makeOptions(12.0, true, true));
+  scoreLoop(state, problemWithGrid(), makeOptions(12.0, true));
 }
 BENCHMARK(BM_ScoreCutoffWithGrid);
-
-static void BM_ScoreCutoffWithGridScalar(benchmark::State& state) {
-  scoreLoop(state, problemWithGrid(), makeOptions(12.0, true, false));
-}
-BENCHMARK(BM_ScoreCutoffWithGridScalar);
 
 /// Per-pose score of the scenario's rest pose, where every episode and
 /// every dock begins: the ligand at its input centroid, beyond the cutoff
@@ -115,7 +94,7 @@ BENCHMARK(BM_ScoreCutoffWithGridScalar);
 /// poses/s (the other per-pose rows score the pocket pose).
 static void BM_ScoreStartPose(benchmark::State& state) {
   Problem& p = problemWithGrid();
-  ScoringFunction sf(*p.receptor, *p.ligand, makeOptions(12.0, true, true));
+  ScoringFunction sf(*p.receptor, *p.ligand, makeOptions(12.0, true));
   const Pose start = p.ligand->restPose();
   std::vector<Vec3> scratch;
   for (auto _ : state) {
@@ -135,7 +114,7 @@ BENCHMARK(BM_ScoreStartPose);
 static void BM_ScorePoseBatched(benchmark::State& state) {
   Problem& p = problemWithGrid();
   const auto batch = static_cast<std::size_t>(state.range(0));
-  ScoringFunction sf(*p.receptor, *p.ligand, makeOptions(12.0, true, true));
+  ScoringFunction sf(*p.receptor, *p.ligand, makeOptions(12.0, true));
 
   Rng rng(11);
   std::vector<Pose> poses;
@@ -162,7 +141,7 @@ BENCHMARK(BM_ScorePoseBatched)->Arg(1)->Arg(8)->Arg(32);
 static void BM_ScorePoseBatchedSpread(benchmark::State& state) {
   Problem& p = problemWithGrid();
   const auto batch = static_cast<std::size_t>(state.range(0));
-  ScoringFunction sf(*p.receptor, *p.ligand, makeOptions(12.0, true, true));
+  ScoringFunction sf(*p.receptor, *p.ligand, makeOptions(12.0, true));
 
   Rng rng(13);
   std::vector<Pose> poses;
@@ -186,7 +165,7 @@ BENCHMARK(BM_ScorePoseBatchedSpread)->Arg(32);
 static void BM_BatchEvaluateThreads(benchmark::State& state) {
   Problem& p = problemWithGrid();
   const auto threads = static_cast<std::size_t>(state.range(0));
-  ScoringOptions opts;  // cutoff 12, grid on, packed
+  ScoringOptions opts;  // cutoff 12, grid on
   ScoringFunction sf(*p.receptor, *p.ligand, opts);
   std::unique_ptr<ThreadPool> pool =
       threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr;

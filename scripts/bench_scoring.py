@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the Eq. 1 scoring benchmarks and emit BENCH_scoring.json.
 
-Covers the packed-vs-scalar A/B per execution path, the per-pose score of
-the rest pose every episode and dock starts from (poses/second), and the
-pose-batched kernel (pairs/second at several batch sizes). Refuses to publish numbers
-measured from a debug harness build unless --allow-debug is passed.
+Covers the per-pose packed kernel on each execution path, the per-pose
+score of the rest pose every episode and dock starts from (poses/second),
+and the pose-batched kernel (pairs/second at several batch sizes).
+Refuses to publish numbers measured from a debug harness build unless
+--allow-debug is passed.
 
 Stdlib only. Usage:
 
@@ -13,11 +14,11 @@ Stdlib only. Usage:
 
 Expects the bench harness at <build-dir>/bench/bench_scoring (built with
 -DDQNDOCK_BUILD_BENCH=ON, the default; use a Release build dir). The
-measured paths map to the benchmark pairs:
+measured paths map to the benchmarks:
 
-    brute_force_no_cutoff : BM_ScoreBruteForceNoCutoff[Scalar]
-    cutoff_no_grid        : BM_ScoreCutoffNoGrid[Scalar]
-    cutoff_with_grid      : BM_ScoreCutoffWithGrid[Scalar]
+    brute_force_no_cutoff : BM_ScoreBruteForceNoCutoff
+    cutoff_no_grid        : BM_ScoreCutoffNoGrid
+    cutoff_with_grid      : BM_ScoreCutoffWithGrid
     start_pose            : BM_ScoreStartPose (poses_per_second)
     pose_batched          : BM_ScorePoseBatched/{1,8,32}, BM_ScorePoseBatchedSpread/32
 
@@ -33,14 +34,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-# benchmark name -> (path key, kernel key)
+# per-pose benchmark name -> path key
 BENCH_MAP = {
-    "BM_ScoreBruteForceNoCutoff": ("brute_force_no_cutoff", "packed"),
-    "BM_ScoreBruteForceNoCutoffScalar": ("brute_force_no_cutoff", "scalar"),
-    "BM_ScoreCutoffNoGrid": ("cutoff_no_grid", "packed"),
-    "BM_ScoreCutoffNoGridScalar": ("cutoff_no_grid", "scalar"),
-    "BM_ScoreCutoffWithGrid": ("cutoff_with_grid", "packed"),
-    "BM_ScoreCutoffWithGridScalar": ("cutoff_with_grid", "scalar"),
+    "BM_ScoreBruteForceNoCutoff": "brute_force_no_cutoff",
+    "BM_ScoreCutoffNoGrid": "cutoff_no_grid",
+    "BM_ScoreCutoffWithGrid": "cutoff_with_grid",
 }
 
 # pose-batched benchmark name (with google-benchmark /Arg suffix) -> key
@@ -129,22 +127,17 @@ def main() -> None:
         if name in BATCHED_MAP:
             batched[BATCHED_MAP[name]] = bench["items_per_second"]
             continue
-        mapping = BENCH_MAP.get(name.split("/")[0])
-        if mapping is None:
-            continue
-        path_key, kernel = mapping
-        paths.setdefault(path_key, {})[kernel] = bench["items_per_second"]
+        path_key = BENCH_MAP.get(name.split("/")[0])
+        if path_key is not None:
+            paths[path_key] = {"packed": bench["items_per_second"]}
 
-    missing = [k for k in {p for p, _ in BENCH_MAP.values()}
-               if len(paths.get(k, {})) != 2]
+    missing = [k for k in BENCH_MAP.values() if k not in paths]
     missing += [k for k in BATCHED_MAP.values() if k not in batched]
     if not start_pose:
         missing.append("start_pose")
     if missing:
         raise SystemExit(f"incomplete benchmark output: {sorted(missing)}")
 
-    for stats in paths.values():
-        stats["packed_over_scalar"] = stats["packed"] / stats["scalar"]
     per_pose = paths["cutoff_with_grid"]["packed"]
     batched["batched_over_per_pose_b32"] = batched["batch_32"] / per_pose
 
@@ -175,9 +168,7 @@ def main() -> None:
     print(f"wrote {args.out}")
     for path_key in sorted(paths):
         s = paths[path_key]
-        print(f"  {path_key:22s} packed {s['packed'] / 1e6:8.1f} M pairs/s  "
-              f"scalar {s['scalar'] / 1e6:8.1f} M pairs/s  "
-              f"({s['packed_over_scalar']:.2f}x)")
+        print(f"  {path_key:22s} packed {s['packed'] / 1e6:8.1f} M pairs/s")
     print(f"  {'start_pose':22s} {start_pose['poses_per_second'] / 1e3:8.1f} k poses/s")
     print(f"  {'pose_batched B=32':22s} batched {batched['batch_32'] / 1e6:7.1f} M pairs/s  "
           f"({batched['batched_over_per_pose_b32']:.2f}x per-pose grid)")

@@ -1,8 +1,11 @@
 #include "src/gateway/gateway.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <exception>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include <sys/socket.h>
 
@@ -25,15 +28,21 @@ JsonValue errorBody(const std::string& message) {
   return body;
 }
 
-/// Round-trip-checked integer extraction: "max_steps": 12.5 is a client
-/// bug that must 400, not truncate to 12.
-long intField(const JsonValue& body, const std::string& key, long fallback) {
+/// Count or seed field, range-checked before the cast: "max_steps": 12.5
+/// must 400 rather than truncate to 12, and -1, 1e300, 1e400 (strtod's
+/// inf) or 4294967297 for an int must 400 rather than wrap or reach an
+/// undefined cast. Accepts the integers in [0, max of T].
+template <typename T>
+T countField(const JsonValue& body, const std::string& key, T fallback) {
   const double raw = body.numberOr(key, static_cast<double>(fallback));
-  const long value = static_cast<long>(raw);
-  if (static_cast<double>(value) != raw) {
-    throw JsonError("field \"" + key + "\" must be an integer");
+  // 2^digits is max + 1 and exact in a double, unlike max itself for
+  // 64-bit T.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(raw >= 0.0 && raw < limit) || std::trunc(raw) != raw) {
+    throw JsonError("field \"" + key + "\" must be an integer in [0, " +
+                    std::to_string(std::numeric_limits<T>::max()) + "]");
   }
-  return value;
+  return static_cast<T>(raw);
 }
 
 JsonValue latencyJson(const serve::RouteStats& route) {
@@ -268,9 +277,9 @@ HttpGateway::Reply HttpGateway::handleStats() const {
 HttpGateway::Reply HttpGateway::handleDock(serve::TenantDirectory::Tenant& tenant,
                                            const JsonValue& body) {
   serve::DockRequest dock;
-  dock.maxSteps = static_cast<int>(intField(body, "max_steps", dock.maxSteps));
+  dock.maxSteps = countField<int>(body, "max_steps", dock.maxSteps);
   dock.epsilon = body.numberOr("epsilon", dock.epsilon);
-  dock.seed = static_cast<std::uint64_t>(intField(body, "seed", 1));
+  dock.seed = countField<std::uint64_t>(body, "seed", 1);
   dock.priority = priorityFromName(body.stringOr("priority", "normal"));
   dock.timeoutSeconds = body.numberOr("timeout_s", 0.0);
 
@@ -294,12 +303,11 @@ HttpGateway::Reply HttpGateway::handleDock(serve::TenantDirectory::Tenant& tenan
 HttpGateway::Reply HttpGateway::handleScreen(serve::TenantDirectory::Tenant& tenant,
                                              const JsonValue& body) {
   serve::ScreenRequest screen;
-  screen.librarySize = static_cast<std::size_t>(
-      intField(body, "library_size", static_cast<long>(screen.librarySize)));
-  screen.minAtoms = static_cast<std::size_t>(intField(body, "min_atoms", 8));
-  screen.maxAtoms = static_cast<std::size_t>(intField(body, "max_atoms", 14));
-  screen.evaluationsPerLigand = static_cast<std::size_t>(intField(body, "evals", 400));
-  screen.seed = static_cast<std::uint64_t>(intField(body, "seed", 2020));
+  screen.librarySize = countField<std::size_t>(body, "library_size", screen.librarySize);
+  screen.minAtoms = countField<std::size_t>(body, "min_atoms", 8);
+  screen.maxAtoms = countField<std::size_t>(body, "max_atoms", 14);
+  screen.evaluationsPerLigand = countField<std::size_t>(body, "evals", 400);
+  screen.seed = countField<std::uint64_t>(body, "seed", 2020);
   screen.priority = priorityFromName(body.stringOr("priority", "normal"));
   screen.timeoutSeconds = body.numberOr("timeout_s", 0.0);
 

@@ -88,60 +88,8 @@ ScoringFunction::ScoringFunction(const ReceptorModel& receptor, const LigandMode
   }
 }
 
-ScoreTerms ScoringFunction::pairEnergy(std::size_t ra, std::size_t la, const Vec3& ligandPos,
-                                       std::span<const Vec3> allLigandPositions) const {
-  ScoreTerms terms;
-  const Vec3& rpos = receptor_.positions()[ra];
-  const double r = distance(rpos, ligandPos);
-  if (options_.cutoff > 0.0 && r > options_.cutoff) return terms;
-
-  const Element re = receptor_.elements()[ra];
-  const Element le = ligand_.molecule().element(la);
-  const chem::LjParams lj = ljTable_[static_cast<std::size_t>(re)][static_cast<std::size_t>(le)];
-
-  terms.electrostatic =
-      electrostaticEnergy(receptor_.charges()[ra], ligand_.molecule().charge(la), r);
-  terms.vdw = lennardJonesEnergy(lj.epsilon, lj.sigma, r);
-
-  // Hydrogen bond: donor hydrogen on one side, acceptor on the other.
-  const HBondRole rRole = receptor_.roles()[ra];
-  const HBondRole lRole = ligand_.molecule().hbondRole(la);
-  if (rRole == HBondRole::kDonorHydrogen && lRole == HBondRole::kAcceptor) {
-    const Vec3 dir = receptor_.donorDirections()[ra];
-    const Vec3 toAcceptor = (ligandPos - rpos).normalized();
-    const double cosTheta = dir.norm2() > 0.0 ? dir.dot(toAcceptor) : 1.0;
-    terms.hbond = hbondEnergy(hbond_, lj.epsilon, lj.sigma, r, cosTheta);
-  } else if (rRole == HBondRole::kAcceptor && lRole == HBondRole::kDonorHydrogen) {
-    const int anchor = ligand_.hydrogenAnchors()[la];
-    double cosTheta = 1.0;
-    if (anchor >= 0) {
-      const Vec3 dir =
-          (ligandPos - allLigandPositions[static_cast<std::size_t>(anchor)]).normalized();
-      cosTheta = dir.dot((rpos - ligandPos).normalized());
-    }
-    terms.hbond = hbondEnergy(hbond_, lj.epsilon, lj.sigma, r, cosTheta);
-  }
-  return terms;
-}
-
-ScoreTerms ScoringFunction::scalarAtomEnergy(std::size_t la, const Vec3& lpos,
-                                             std::span<const Vec3> all) const {
-  ScoreTerms acc;
-  const bool pruned = options_.useGrid && options_.cutoff > 0.0;
-  if (pruned) {
-    receptor_.grid().forEachNear(lpos,
-                                 [&](std::size_t ra) { acc += pairEnergy(ra, la, lpos, all); });
-  } else {
-    const std::size_t n = receptor_.atomCount();
-    for (std::size_t ra = 0; ra < n; ++ra) {
-      acc += pairEnergy(ra, la, lpos, all);
-    }
-  }
-  return acc;
-}
-
-ScoreTerms ScoringFunction::packedAtomEnergy(std::size_t la, const Vec3& lpos,
-                                             std::span<const Vec3> all) const {
+ScoreTerms ScoringFunction::atomEnergy(std::size_t la, const Vec3& lpos,
+                                       std::span<const Vec3> all) const {
   ScoreTerms terms;
   const std::size_t n = receptor_.atomCount();
   if (n == 0) return terms;
@@ -189,8 +137,8 @@ ScoreTerms ScoringFunction::packedAtomEnergy(std::size_t la, const Vec3& lpos,
 
 double ScoringFunction::packedHBondEnergy(std::size_t la, const Vec3& lpos,
                                           const Vec3* anchorPos) const {
-  // Donor hydrogen on one side, acceptor on the other. The cutoff test
-  // mirrors the scalar path exactly. When grid-pruned, the walk visits
+  // Donor hydrogen on one side, acceptor on the other; a site within
+  // the cutoff (r <= cutoff) counts. When grid-pruned, the walk visits
   // only the sites in the cell window the cutoff can reach, in the list's
   // own order, so the sum is bit-identical to scanning the full list.
   const HBondRole lRole = ligRoles_[la];
@@ -221,11 +169,6 @@ double ScoringFunction::packedHBondEnergy(std::size_t la, const Vec3& lpos,
     for (const ReceptorModel::HBondSite& site : sites.sites) addSite(site);
   }
   return hb;
-}
-
-ScoreTerms ScoringFunction::atomEnergy(std::size_t la, const Vec3& lpos,
-                                       std::span<const Vec3> all) const {
-  return options_.packed ? packedAtomEnergy(la, lpos, all) : scalarAtomEnergy(la, lpos, all);
 }
 
 void ScoringFunction::energyBatchTile(std::span<const Pose> poses, BatchScratch& s,
@@ -436,14 +379,6 @@ void ScoringFunction::energyBatch(std::span<const Pose> poses, BatchScratch& scr
                                   std::span<ScoreTerms> out) const {
   if (out.size() != poses.size()) {
     throw std::invalid_argument("ScoringFunction::energyBatch: output size mismatch");
-  }
-  if (!options_.packed) {
-    // Scalar fallback: exactly the per-pose path, pose by pose.
-    for (std::size_t i = 0; i < poses.size(); ++i) {
-      ligand_.applyPose(poses[i], scratch.pose);
-      out[i] = energy(scratch.pose);
-    }
-    return;
   }
   for (std::size_t i0 = 0; i0 < poses.size(); i0 += kMaxBatchLanes) {
     const std::size_t tile = std::min(kMaxBatchLanes, poses.size() - i0);

@@ -13,18 +13,19 @@
 /// values — matching the paper's description of the score range
 /// ("from big negative numbers (e.g. -4.5e+21) to 500 at most").
 ///
-/// Execution paths: scalar brute force (Algorithm 1 of the paper),
-/// cutoff without grid, cutoff + neighbour-grid pruned, and thread-pool
-/// parallel (the CPU analogue of METADOCK's GPU kernels). By default all
-/// of them run the *packed* data-oriented kernel: pass 1 is a fused
+/// Execution paths: brute force (Algorithm 1 of the paper), cutoff
+/// without grid, cutoff + neighbour-grid pruned, and thread-pool parallel
+/// (the CPU analogue of METADOCK's GPU kernels). All of them run the
+/// *packed* data-oriented kernel: pass 1 is a fused
 /// electrostatics+Lennard-Jones sweep over the receptor's cell-sorted
 /// SoA arrays with precomputed per-ligand-element pair-parameter rows
 /// (branch-free, auto-vectorisable); pass 2 scores the hydrogen-bond
 /// term over the receptor's packed donor/acceptor site lists, visiting
 /// only the sites in the grid cells the cutoff reaches (the same sites
 /// in the same order as a walk of the whole list, so bit-identical to
-/// it). `ScoringOptions::packed = false` selects the original scalar
-/// AoS path for A/B testing; both paths agree to ~1e-9 relative.
+/// it). The original scalar AoS kernel, one receptor-ligand pair at a
+/// time, lives on as the test oracle in tests/test_scoring_packed.cpp,
+/// which holds every path to it within ~1e-9 relative per term.
 ///
 /// Threaded evaluation sums ordered per-ligand-atom partials, so scores
 /// are bit-identical across thread counts (and to the serial path).
@@ -101,9 +102,6 @@ struct ScoringOptions {
   /// Prune receptor atoms through the neighbour grid (requires cutoff > 0
   /// and a ReceptorModel built with a grid).
   bool useGrid = true;
-  /// Data-oriented SoA kernel (default). false = original scalar AoS
-  /// fallback, kept for A/B testing and golden-equivalence checks.
-  bool packed = true;
   /// Thread pool for parallel evaluation; nullptr = single-threaded.
   ThreadPool* pool = nullptr;
 };
@@ -141,7 +139,7 @@ class ScoringFunction {
   /// Contents are an implementation detail; callers only keep it alive
   /// between calls so the lane buffers stay warm.
   struct BatchScratch {
-    std::vector<Vec3> pose;         ///< applyPose temp (also scalar-path scratch)
+    std::vector<Vec3> pose;         ///< applyPose temp
     std::vector<double> lx, ly, lz; ///< batch-major lanes [ligandAtom * lanes + pose]
     std::vector<ScoreTerms> terms;  ///< per-pose totals for scoreBatch
     std::vector<std::uint32_t> ranges;  ///< packed [first, end) pairs per sweep
@@ -149,9 +147,8 @@ class ScoringFunction {
   };
 
   /// Pose-batched energies: `out[i]` receives the energy of `poses[i]`,
-  /// equal to energy(applyPose(poses[i])) within ~1e-9 relative (the
-  /// scalar fallback path is reused verbatim when options().packed is
-  /// false). out.size() must equal poses.size().
+  /// equal to energy(applyPose(poses[i])) within ~1e-9 relative.
+  /// out.size() must equal poses.size().
   void energyBatch(std::span<const Pose> poses, BatchScratch& scratch,
                    std::span<ScoreTerms> out) const;
 
@@ -168,16 +165,9 @@ class ScoringFunction {
   CpuTier kernelTier() const { return kernel_->tier; }
 
  private:
-  /// Full three-term energy of one ligand atom against the receptor,
-  /// dispatched to the packed or scalar kernel. The unit the threaded
-  /// reduction sums in order.
+  /// Full three-term energy of one ligand atom against the receptor
+  /// (both packed passes). The unit the threaded reduction sums in order.
   ScoreTerms atomEnergy(std::size_t ligandAtom, const Vec3& ligandPos,
-                        std::span<const Vec3> allLigandPositions) const;
-  ScoreTerms packedAtomEnergy(std::size_t ligandAtom, const Vec3& ligandPos,
-                              std::span<const Vec3> allLigandPositions) const;
-  ScoreTerms scalarAtomEnergy(std::size_t ligandAtom, const Vec3& ligandPos,
-                              std::span<const Vec3> allLigandPositions) const;
-  ScoreTerms pairEnergy(std::size_t receptorAtom, std::size_t ligandAtom, const Vec3& ligandPos,
                         std::span<const Vec3> allLigandPositions) const;
 
   /// H-bond pass for one (ligand atom, pose): identical operations and
@@ -199,7 +189,7 @@ class ScoringFunction {
   /// Runtime-dispatched sweep kernels (per-ISA TUs; chosen once here).
   const detail::ScoringKernelOps* kernel_;
   /// Precombined Lorentz-Berthelot pair parameters, indexed
-  /// [receptorElement][ligandElement] (scalar path + H-bond pass).
+  /// [receptorElement][ligandElement] (the H-bond pass).
   std::array<std::array<chem::LjParams, chem::kElementCount>, chem::kElementCount> ljTable_{};
   chem::HBondParams hbond_{};
 

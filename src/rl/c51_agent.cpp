@@ -68,32 +68,39 @@ bool C51Agent::enableStaticPrefixFold(std::span<const double> staticPrefix) {
   return true;
 }
 
-std::vector<double> C51Agent::expectedQ(std::span<const double> state) const {
-  if (state.size() != stateDim_ &&
-      !(online_.foldActive() && state.size() == online_.dynamicInputDim())) {
+void C51Agent::checkStateDim(std::size_t cols) const {
+  if (cols != stateDim_ && !(online_.foldActive() && cols == online_.dynamicInputDim())) {
     throw std::invalid_argument("C51Agent: state dim mismatch");
   }
-  scratchState_.resize(1, state.size());
-  std::copy(state.begin(), state.end(), scratchState_.data());
-  online_.predict(scratchState_, scratchLogits_);
+}
+
+void C51Agent::qValuesBatch(const nn::Tensor& states, nn::Tensor& q) const {
+  checkStateDim(states.cols());
+  online_.predict(states, scratchLogits_);
   softmaxBlocks(scratchLogits_, scratchProbs_);
   const std::size_t atoms = static_cast<std::size_t>(config_.atoms);
-  std::vector<double> q(static_cast<std::size_t>(actions_), 0.0);
-  for (int a = 0; a < actions_; ++a) {
-    for (std::size_t i = 0; i < atoms; ++i) {
-      q[static_cast<std::size_t>(a)] +=
-          scratchProbs_(0, static_cast<std::size_t>(a) * atoms + i) * support_[i];
+  q.resizeOverwrite(states.rows(), static_cast<std::size_t>(actions_));  // every element written
+  for (std::size_t r = 0; r < states.rows(); ++r) {
+    for (int a = 0; a < actions_; ++a) {
+      const std::size_t base = static_cast<std::size_t>(a) * atoms;
+      double mean = 0.0;
+      for (std::size_t i = 0; i < atoms; ++i) mean += scratchProbs_(r, base + i) * support_[i];
+      q(r, static_cast<std::size_t>(a)) = mean;
     }
   }
-  return q;
+}
+
+std::vector<double> C51Agent::expectedQ(std::span<const double> state) const {
+  scratchState_.resize(1, state.size());
+  std::copy(state.begin(), state.end(), scratchState_.data());
+  nn::Tensor q;
+  qValuesBatch(scratchState_, q);
+  return std::vector<double>(q.data(), q.data() + q.cols());
 }
 
 std::vector<double> C51Agent::distribution(std::span<const double> state, int action) const {
   if (action < 0 || action >= actions_) throw std::out_of_range("C51Agent: bad action");
-  if (state.size() != stateDim_ &&
-      !(online_.foldActive() && state.size() == online_.dynamicInputDim())) {
-    throw std::invalid_argument("C51Agent: state dim mismatch");
-  }
+  checkStateDim(state.size());
   scratchState_.resize(1, state.size());
   std::copy(state.begin(), state.end(), scratchState_.data());
   online_.predict(scratchState_, scratchLogits_);

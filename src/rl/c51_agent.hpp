@@ -17,6 +17,7 @@
 
 #include "src/nn/mlp.hpp"
 #include "src/nn/optimizer.hpp"
+#include "src/rl/agent.hpp"
 #include "src/rl/replay_buffer.hpp"
 
 namespace dqndock::rl {
@@ -33,7 +34,7 @@ struct C51Config {
   double vMax = 10.0;    ///< support upper bound
 };
 
-class C51Agent {
+class C51Agent final : public Agent {
  public:
   C51Agent(std::size_t stateDim, int actionCount, C51Config config, Rng& rng,
            ThreadPool* pool = nullptr);
@@ -50,7 +51,13 @@ class C51Agent {
   bool foldActive() const { return online_.foldActive(); }
   std::size_t dynamicStateDim() const { return online_.dynamicInputDim(); }
 
-  /// Expected Q per action (the distribution means).
+  /// Expected Q per action (the distribution means) for a batch of
+  /// states, one row per state; q is resized to rows x actionCount. Each
+  /// mean sums probability x support atom by atom in support order, so a
+  /// row is bit-identical to the same state's one-row call.
+  void qValuesBatch(const nn::Tensor& states, nn::Tensor& q) const override;
+
+  /// Expected Q per action for one state: a one-row qValuesBatch.
   std::vector<double> expectedQ(std::span<const double> state) const;
 
   /// Categorical distribution for one state-action (sums to 1).
@@ -62,7 +69,7 @@ class C51Agent {
 
   /// One C51 update (categorical projection + cross-entropy step).
   /// Returns the minibatch loss; no-op below batchSize transitions.
-  double learn(ExperienceSource& source, Rng& rng);
+  double learn(ExperienceSource& source, Rng& rng) override;
 
   void syncTarget() { target_.copyWeightsFrom(online_); }
   std::size_t learnSteps() const { return learnSteps_; }
@@ -70,6 +77,9 @@ class C51Agent {
  private:
   /// Per-(row, action) softmax over the atom block of `logits`.
   void softmaxBlocks(const nn::Tensor& logits, nn::Tensor& probs) const;
+  /// Throws unless `cols` is the full state width, or the dynamic width
+  /// while the fold is active.
+  void checkStateDim(std::size_t cols) const;
 
   std::size_t stateDim_;
   int actions_;

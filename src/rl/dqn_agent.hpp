@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "src/rl/agent.hpp"
 #include "src/rl/qnetwork.hpp"
 #include "src/rl/replay_buffer.hpp"
 #include "src/nn/optimizer.hpp"
@@ -46,7 +47,7 @@ struct DqnConfig {
   double polyakTau = 0.0;
 };
 
-class DqnAgent {
+class DqnAgent final : public Agent {
  public:
   DqnAgent(std::size_t stateDim, int actionCount, DqnConfig config, Rng& rng,
            ThreadPool* pool = nullptr);
@@ -85,7 +86,7 @@ class DqnAgent {
   /// qValues(): predict() routes any row count through the same gemmABt
   /// register-tile path. The vectorized trainer folds all V per-env
   /// maxQ/greedy lookups into one of these calls.
-  void qValuesBatch(const nn::Tensor& states, nn::Tensor& q) const;
+  void qValuesBatch(const nn::Tensor& states, nn::Tensor& q) const override;
 
   /// max_a Q(s, a) — the quantity Figure 4 tracks per time-step.
   double maxQ(std::span<const double> state) const;
@@ -95,7 +96,7 @@ class DqnAgent {
   /// Automatically syncs the target network every C calls. When `source`
   /// is a PrioritizedSource, importance weights are applied to the loss
   /// and |TD| errors are fed back as new priorities.
-  double learn(ExperienceSource& source, Rng& rng);
+  double learn(ExperienceSource& source, Rng& rng) override;
 
   /// Force target <- online.
   void syncTarget();

@@ -1,6 +1,7 @@
 #include "src/rl/trainer.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "src/common/logging.hpp"
@@ -15,13 +16,13 @@ Rng trainerEnvStream(std::uint64_t seed, std::uint64_t envIndex) {
   return Rng(seed ^ (0x9e3779b97f4a7c15ULL * (envIndex + 1)));
 }
 
-Trainer::Trainer(Environment& env, DqnAgent& agent, ExperienceSink& sink,
+Trainer::Trainer(Environment& env, Agent& agent, ExperienceSink& sink,
                  ExperienceSource& source, TrainerConfig config)
     : ownedEnvs_(std::make_unique<LockstepVectorEnv>(std::vector<Environment*>{&env})),
       venv_(ownedEnvs_.get()), agent_(agent), sink_(sink), source_(source), config_(config),
       rng_(config.seed) {}
 
-Trainer::Trainer(VectorEnv& envs, DqnAgent& agent, ExperienceSink& sink,
+Trainer::Trainer(VectorEnv& envs, Agent& agent, ExperienceSink& sink,
                  ExperienceSource& source, TrainerConfig config)
     : venv_(&envs), agent_(agent), sink_(sink), source_(source), config_(config),
       rng_(config.seed) {
@@ -36,61 +37,44 @@ Trainer::Trainer(VectorEnv& envs, DqnAgent& agent, ExperienceSink& sink,
 Rng& Trainer::actionRng(std::size_t i) { return envRngs_.empty() ? rng_ : envRngs_[i]; }
 
 namespace {
-/// Presents one env of a VectorEnv as a scalar Environment so greedy
-/// evaluation can play env 0 outside the lockstep batch.
-class VectorEnvSlice final : public Environment {
- public:
-  VectorEnvSlice(VectorEnv& envs, std::size_t index) : envs_(envs), index_(index) {}
-
-  std::size_t stateDim() const override { return envs_.stateDim(); }
-  int actionCount() const override { return envs_.actionCount(); }
-
-  void reset(std::vector<double>& state) override {
-    state.resize(envs_.stateDim());
-    envs_.reset(index_, state);
+/// Figure 4's max_a Q and the epsilon-greedy action from one row of
+/// Q-values, in DqnAgent::selectAction's draw order: one uniform()
+/// always, one uniformInt() only when exploring. The greedy arm takes
+/// the first argmax, as std::max_element does in selectAction.
+int pickAction(std::span<const double> q, double epsilon, Rng& rng, RunningStats& maxQ) {
+  const auto best = std::max_element(q.begin(), q.end());
+  maxQ.add(*best);
+  if (rng.uniform() < epsilon) {
+    return static_cast<int>(rng.uniformInt(static_cast<std::uint64_t>(q.size())));
   }
-
-  EnvStep step(int action, std::vector<double>& nextState) override {
-    nextState.resize(envs_.stateDim());
-    return envs_.stepOne(index_, action, nextState);
-  }
-
-  double score() const override { return envs_.score(index_); }
-
- private:
-  VectorEnv& envs_;
-  std::size_t index_;
-};
+  return static_cast<int>(best - q.begin());
+}
 }  // namespace
 
 EpisodeRecord Trainer::evaluateGreedy() {
-  VectorEnvSlice env(*venv_, 0);
-  std::vector<double> state;
-  std::vector<double> nextState;
-  env.reset(state);
+  nn::Tensor state(1, venv_->stateDim());
+  nn::Tensor q;
+  venv_->reset(0, state.row(0));
 
   EpisodeRecord record;
   record.episode = episodeIndex_;
-  record.finalScore = env.score();
-  record.bestScore = env.score();
+  record.finalScore = venv_->score(0);
+  record.bestScore = record.finalScore;
   RunningStats maxQ;
 
   bool terminal = false;
   while (!terminal) {
-    // Figure 4 metric: the maximum predicted Q for the current state.
-    maxQ.add(agent_.maxQ(state));
-
-    // At epsilon 0 selectAction still draws one uniform() from the
-    // shared stream, so training after an evaluation sees that draw.
-    const int action = agent_.selectAction(state, /*epsilon=*/0.0, rng_);
-    const EnvStep result = env.step(action, nextState);
+    agent_.qValuesBatch(state, q);
+    const int action = pickAction(q.row(0), /*epsilon=*/0.0, rng_, maxQ);
+    // stepOne writes the next state over the current one, which the
+    // forward above has already consumed.
+    const EnvStep result = venv_->stepOne(0, action, state.row(0));
     record.totalReward += result.reward;
     record.terminationCode = result.terminationCode;
     terminal = result.terminal;
-    state = nextState;
     ++record.steps;
 
-    const double score = env.score();
+    const double score = venv_->score(0);
     record.finalScore = score;
     record.bestScore = std::max(record.bestScore, score);
   }
@@ -121,7 +105,6 @@ const MetricsLog& Trainer::run() { return collect(config_.episodes); }
 const MetricsLog& Trainer::collect(std::size_t episodes) {
   const std::size_t v = venv_->size();
   const std::size_t dim = venv_->stateDim();
-  const auto actionCount = static_cast<std::uint64_t>(venv_->actionCount());
   const std::size_t targetEpisodes = metrics_.size() + episodes;
 
   nn::Tensor states(v, dim);
@@ -142,9 +125,9 @@ const MetricsLog& Trainer::collect(std::size_t episodes) {
   for (std::size_t i = 0; i < v; ++i) beginEpisode(i);
 
   while (metrics_.size() < targetEpisodes) {
-    // One batched Q-forward for all V current states. predict() tiles
-    // any row count through the same gemmABt path, bit-identical per
-    // row to the scalar qValues() call.
+    // One batched Q-forward for all V current states, bit-identical per
+    // row to the one-row call (predict() tiles any row count through the
+    // same gemmABt path).
     agent_.qValuesBatch(states, q);
 
     for (std::size_t i = 0; i < v; ++i) {
@@ -153,17 +136,7 @@ const MetricsLog& Trainer::collect(std::size_t episodes) {
       // would use for it.
       const double epsilon = config_.epsilon.value(globalStep_ + i);
       records[i].epsilon = epsilon;
-      const auto row = q.row(i);
-      const auto best = std::max_element(row.begin(), row.end());
-      maxQ[i].add(*best);
-      Rng& rng = actionRng(i);
-      // Same draw order as DqnAgent::selectAction: one uniform() always,
-      // one uniformInt() only when exploring.
-      if (rng.uniform() < epsilon) {
-        actions[i] = static_cast<int>(rng.uniformInt(actionCount));
-      } else {
-        actions[i] = static_cast<int>(best - row.begin());
-      }
+      actions[i] = pickAction(q.row(i), epsilon, actionRng(i), maxQ[i]);
     }
 
     // Lockstep env step: the docking VectorEnv scores all V candidate

@@ -6,25 +6,26 @@
 /// take one gradient step per environment step once `learningStart` steps
 /// have elapsed. Produces the MetricsLog that Figure 4 is drawn from.
 ///
-/// One collection loop serves every run: V lockstep envs behind a
-/// VectorEnv. Each lockstep step runs ONE batched Q-forward over all V
-/// states (gemmABt register tiles), selects V epsilon-greedy actions,
-/// steps all envs (the docking VectorEnv scores all candidate poses in
-/// one batched receptor sweep), then commits V transitions in env-index
-/// order. Epsilon and the replay/target-sync cadences are counted in
-/// *transitions* (globalStep_), not lockstep iterations. A Trainer over
-/// one scalar Environment runs the same loop at V = 1 through a one-env
-/// LockstepVectorEnv, where it is Algorithm 2 transition for transition:
-/// one shared RNG stream drawn in selectAction's order, max and argmax
-/// from a predict that is bit-identical per row for any batch height,
-/// and a reset at every episode start. Tests pin it bit for bit against
-/// a test-local copy of Algorithm 2's one-env loop.
+/// One collection loop serves every run and every rl::Agent (DqnAgent and
+/// its variants, C51Agent): V lockstep envs behind a VectorEnv. Each
+/// lockstep step runs ONE batched Q-forward over all V states (gemmABt
+/// register tiles), selects V epsilon-greedy actions, steps all envs (the
+/// docking VectorEnv scores all candidate poses in one batched receptor
+/// sweep), then commits V transitions in env-index order. Epsilon and the
+/// replay/target-sync cadences are counted in *transitions* (globalStep_),
+/// not lockstep iterations. A Trainer over one scalar Environment runs the
+/// same loop at V = 1 through a one-env LockstepVectorEnv, where it is
+/// Algorithm 2 transition for transition: one shared RNG stream drawn in
+/// selectAction's order, max and argmax from a qValuesBatch that is
+/// bit-identical per row for any batch height, and a reset at every
+/// episode start. Tests pin it bit for bit against a test-local copy of
+/// Algorithm 2's one-env loop, for DqnAgent and C51Agent alike.
 
 #include <functional>
 #include <memory>
 
 #include "src/common/rng.hpp"
-#include "src/rl/dqn_agent.hpp"
+#include "src/rl/agent.hpp"
 #include "src/rl/env.hpp"
 #include "src/rl/metrics.hpp"
 #include "src/rl/replay_buffer.hpp"
@@ -55,14 +56,14 @@ class Trainer {
   /// a one-env LockstepVectorEnv that wraps `env` (which must outlive
   /// the trainer). `replay` is used both as sink (push) and source
   /// (sample); pass the same object twice when using a plain ReplayBuffer.
-  Trainer(Environment& env, DqnAgent& agent, ExperienceSink& sink, ExperienceSource& source,
+  Trainer(Environment& env, Agent& agent, ExperienceSink& sink, ExperienceSource& source,
           TrainerConfig config);
 
   /// Trains on envs.size() lockstep envs. Episode records enter the
   /// metrics in completion order; run() stops once config.episodes
   /// episodes have completed (transitions from the other envs'
   /// unfinished episodes still train the agent).
-  Trainer(VectorEnv& envs, DqnAgent& agent, ExperienceSink& sink, ExperienceSource& source,
+  Trainer(VectorEnv& envs, Agent& agent, ExperienceSink& sink, ExperienceSource& source,
           TrainerConfig config);
 
   /// Run config.episodes more episodes, each env starting a fresh one;
@@ -76,7 +77,10 @@ class Trainer {
 
   /// Evaluate the greedy policy (no exploration, no learning) for one
   /// episode on env 0, outside the lockstep batch; returns its record
-  /// without touching the training metrics.
+  /// without touching the training metrics. Each step picks through the
+  /// same epsilon-greedy helper as the loop at epsilon 0, so it still
+  /// draws one uniform() from the shared stream, as Algorithm 2's
+  /// selectAction does, and training after an evaluation sees that draw.
   EpisodeRecord evaluateGreedy();
 
   std::size_t globalStep() const { return globalStep_; }
@@ -99,7 +103,7 @@ class Trainer {
 
   std::unique_ptr<LockstepVectorEnv> ownedEnvs_;  ///< set when built from one Environment
   VectorEnv* venv_ = nullptr;
-  DqnAgent& agent_;
+  Agent& agent_;
   ExperienceSink& sink_;
   ExperienceSource& source_;
   TrainerConfig config_;

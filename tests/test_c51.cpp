@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
+#include "src/nn/tensor.hpp"
 #include "src/rl/c51_agent.hpp"
 #include "src/rl/corridor_env.hpp"
 #include "src/rl/schedule.hpp"
@@ -74,6 +75,52 @@ TEST(C51AgentTest, ExpectedQWithinSupportBounds) {
     EXPECT_LE(v, 2.0);
   }
   EXPECT_DOUBLE_EQ(agent.maxQ(s), *std::max_element(q.begin(), q.end()));
+}
+
+TEST(C51AgentTest, QValuesBatchRowsMatchExpectedQ) {
+  // Every batched row is the one-row expectedQ bit for bit, at any batch
+  // height, folded or not, serial or pooled (24 x 20,000 is wide enough
+  // for the pool to take part in the fold). Each mean is also the sum of
+  // distribution() x support, atom by atom in support order.
+  const std::size_t kDim = 20000, kStatic = 19900;
+  const int kActions = 3;
+  Rng prefixRng(43);
+  std::vector<double> prefix(kStatic);
+  for (double& v : prefix) v = prefixRng.uniform(-1.0, 1.0);
+  ThreadPool pool(4);
+  for (const bool fold : {false, true}) {
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      Rng rng(9);
+      C51Agent agent(kDim, kActions, smallConfig(), rng, threads);
+      if (fold) {
+        ASSERT_TRUE(agent.enableStaticPrefixFold(prefix));
+      }
+      const std::size_t width = fold ? kDim - kStatic : kDim;
+      for (const std::size_t rows : {1u, 3u, 32u}) {
+        nn::Tensor states(rows, width);
+        Rng fill(rows);
+        for (double& v : states.flat()) v = fill.uniform(-1.0, 1.0);
+        nn::Tensor q;
+        agent.qValuesBatch(states, q);
+        ASSERT_EQ(q.rows(), rows);
+        ASSERT_EQ(q.cols(), static_cast<std::size_t>(kActions));
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::vector<double> one = agent.expectedQ(states.row(r));
+          for (int a = 0; a < kActions; ++a) {
+            const double got = q(r, static_cast<std::size_t>(a));
+            EXPECT_EQ(got, one[static_cast<std::size_t>(a)])
+                << "fold " << fold << ", pool " << (threads != nullptr) << ", " << rows
+                << " rows, row " << r << ", action " << a;
+            const std::vector<double> dist = agent.distribution(states.row(r), a);
+            double mean = 0.0;
+            for (std::size_t i = 0; i < dist.size(); ++i) mean += dist[i] * agent.support()[i];
+            EXPECT_EQ(got, mean) << "fold " << fold << ", " << rows << " rows, row " << r
+                                 << ", action " << a;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(C51AgentTest, LearnsTerminalRewardDistribution) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/rl/corridor_env.hpp"
+#include "src/rl/dqn_agent.hpp"
 #include "src/rl/trainer.hpp"
 
 namespace dqndock::rl {

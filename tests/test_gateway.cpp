@@ -305,6 +305,20 @@ TEST_F(GatewayFixture, ErrorContract) {
   // Fractional integer field -> 400.
   conn.post("/v1/models/alpha/dock", R"({"max_steps":12.5})");
   EXPECT_EQ(conn.readResponse().status, 400);
+  // Integers out of range for their field -> 400 naming the field, not a
+  // wrapped or undefined cast: beyond any integer type, strtod's inf,
+  // 2^32 + 1 for an int step count, and a negative library size.
+  for (const char* body : {R"({"max_steps":1e300})", R"({"max_steps":1e400})",
+                           R"({"max_steps":4294967297})"}) {
+    conn.post("/v1/models/alpha/dock", body);
+    const HttpResponse response = conn.readResponse();
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_NE(response.body.find("max_steps"), std::string::npos) << response.body;
+  }
+  conn.post("/v1/models/alpha/screen", R"({"library_size":-1})");
+  const HttpResponse negative = conn.readResponse();
+  EXPECT_EQ(negative.status, 400);
+  EXPECT_NE(negative.body.find("library_size"), std::string::npos) << negative.body;
   // No route -> 404.
   conn.get("/v2/anything");
   EXPECT_EQ(conn.readResponse().status, 404);

@@ -88,20 +88,17 @@ TEST_F(BatchedScoringFixture, MatchesPerPoseAcrossBatchSizes) {
 }
 
 TEST_F(BatchedScoringFixture, MatchesPerPoseOnEveryExecutionPath) {
-  // grid (union/subcell sweep), cutoff-no-grid (masked full sweep), brute
-  // (no cutoff), and the scalar fallback all honour the same contract.
+  // grid (union/subcell sweep), cutoff-no-grid (masked full sweep) and
+  // brute (no cutoff) all honour the same contract.
   ScoringOptions cutoffOnly;
   cutoffOnly.useGrid = false;
   ScoringOptions brute;
   brute.cutoff = 0.0;
   brute.useGrid = false;
-  ScoringOptions scalar;
-  scalar.packed = false;
   const auto poses = randomPoses(receptor_, ligand_, 12, 15.0, 21);
   expectBatchMatchesPerPose(ScoringFunction(receptor_, ligand_, {}), poses, "grid");
   expectBatchMatchesPerPose(ScoringFunction(receptor_, ligand_, cutoffOnly), poses, "cutoff");
   expectBatchMatchesPerPose(ScoringFunction(receptor_, ligand_, brute), poses, "brute");
-  expectBatchMatchesPerPose(ScoringFunction(receptor_, ligand_, scalar), poses, "scalar");
 }
 
 TEST_F(BatchedScoringFixture, MixedInAndOutOfBoxPoses) {

@@ -1,9 +1,9 @@
 // Golden-equivalence suite for the packed (SoA, cell-sorted) Eq. 1
-// kernel against the original scalar AoS fallback, plus the
-// thread-determinism regression test: scores must be bit-identical
-// across serial evaluation and every thread-pool size. The H-bond window
-// suite holds the packed pass's cell-window site walk to a test-local
-// copy of the full-list walk, bit for bit.
+// kernel against a test-local copy of the original scalar AoS kernel,
+// plus the thread-determinism regression test: scores must be
+// bit-identical across serial evaluation and every thread-pool size. The
+// H-bond window suite holds the packed pass's cell-window site walk to a
+// test-local copy of the full-list walk, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -26,25 +26,73 @@ using chem::HBondRole;
 
 /// Relative tolerance for packed-vs-scalar comparisons. The two kernels
 /// reassociate the pair sum differently (lane-blocked vs sequential), so
-/// exact equality is not expected; 1e-9 relative is the ISSUE bar.
+/// exact equality is not expected; 1e-9 relative is the contract.
 double tol(double ref) { return std::max(1e-9, std::fabs(ref) * 1e-9); }
 
-/// Asserts packed and scalar kernels agree per term on every pose.
+/// Test-local oracle: the original scalar AoS kernel (the paper's
+/// Algorithm 1), built from the public API. Per ligand atom it visits
+/// the receptor atoms of the neighbour grid's 27 cells when grid-pruned,
+/// and every receptor atom otherwise; each pair within the cutoff adds
+/// its three Eq. 1 terms in visit order, and the atoms' terms are summed
+/// in atom order.
+ScoreTerms scalarEnergy(const ReceptorModel& receptor, const LigandModel& ligand,
+                        const ScoringOptions& opts, std::span<const Vec3> pos) {
+  const chem::ForceField& ff = chem::ForceField::standard();
+  const chem::HBondParams hbp = ff.hbond();
+  const chem::Molecule& mol = ligand.molecule();
+  ScoreTerms total;
+  for (std::size_t la = 0; la < pos.size(); ++la) {
+    const Vec3& lpos = pos[la];
+    ScoreTerms atom;
+    const auto addPair = [&](std::size_t ra) {
+      const Vec3& rpos = receptor.positions()[ra];
+      const double r = distance(rpos, lpos);
+      if (opts.cutoff > 0.0 && r > opts.cutoff) return;
+      const chem::LjParams lj = ff.ljPair(receptor.elements()[ra], mol.element(la));
+      ScoreTerms pair;
+      pair.electrostatic = electrostaticEnergy(receptor.charges()[ra], mol.charge(la), r);
+      pair.vdw = lennardJonesEnergy(lj.epsilon, lj.sigma, r);
+      // Hydrogen bond: donor hydrogen on one side, acceptor on the other.
+      const HBondRole rRole = receptor.roles()[ra];
+      const HBondRole lRole = mol.hbondRole(la);
+      if (rRole == HBondRole::kDonorHydrogen && lRole == HBondRole::kAcceptor) {
+        const Vec3 dir = receptor.donorDirections()[ra];
+        const Vec3 toAcceptor = (lpos - rpos).normalized();
+        const double cosTheta = dir.norm2() > 0.0 ? dir.dot(toAcceptor) : 1.0;
+        pair.hbond = hbondEnergy(hbp, lj.epsilon, lj.sigma, r, cosTheta);
+      } else if (rRole == HBondRole::kAcceptor && lRole == HBondRole::kDonorHydrogen) {
+        const int anchor = ligand.hydrogenAnchors()[la];
+        double cosTheta = 1.0;
+        if (anchor >= 0) {
+          const Vec3 dir = (lpos - pos[static_cast<std::size_t>(anchor)]).normalized();
+          cosTheta = dir.dot((rpos - lpos).normalized());
+        }
+        pair.hbond = hbondEnergy(hbp, lj.epsilon, lj.sigma, r, cosTheta);
+      }
+      atom += pair;
+    };
+    if (opts.useGrid && opts.cutoff > 0.0) {
+      receptor.grid().forEachNear(lpos, addPair);
+    } else {
+      for (std::size_t ra = 0; ra < receptor.atomCount(); ++ra) addPair(ra);
+    }
+    total += atom;
+  }
+  return total;
+}
+
+/// Asserts the packed kernel and the scalar oracle agree per term on
+/// every pose.
 void expectPackedMatchesScalar(const ReceptorModel& receptor, const LigandModel& ligand,
-                               const ScoringOptions& base, std::span<const Pose> poses,
+                               const ScoringOptions& opts, std::span<const Pose> poses,
                                const char* what) {
-  ScoringOptions packedOpts = base;
-  packedOpts.packed = true;
-  ScoringOptions scalarOpts = base;
-  scalarOpts.packed = false;
-  ScoringFunction packed(receptor, ligand, packedOpts);
-  ScoringFunction scalar(receptor, ligand, scalarOpts);
+  ScoringFunction packed(receptor, ligand, opts);
 
   std::vector<Vec3> pos;
   for (std::size_t i = 0; i < poses.size(); ++i) {
     ligand.applyPose(poses[i], pos);
     const ScoreTerms a = packed.energy(pos);
-    const ScoreTerms b = scalar.energy(pos);
+    const ScoreTerms b = scalarEnergy(receptor, ligand, opts, pos);
     EXPECT_NEAR(a.electrostatic, b.electrostatic, tol(b.electrostatic))
         << what << " pose " << i << " (electrostatic)";
     EXPECT_NEAR(a.vdw, b.vdw, tol(b.vdw)) << what << " pose " << i << " (vdw)";
@@ -53,7 +101,7 @@ void expectPackedMatchesScalar(const ReceptorModel& receptor, const LigandModel&
   }
 }
 
-/// The three execution paths both kernels support.
+/// The three execution paths the kernel and the oracle both take.
 std::vector<std::pair<const char*, ScoringOptions>> pathConfigs() {
   ScoringOptions grid;  // defaults: cutoff 12, grid on
   ScoringOptions cutoffOnly;
@@ -190,7 +238,7 @@ TEST(PackedEquivalenceTest, MatchesScalarOutsideGridBoundingBox) {
   }
 
   // A pose beyond cutoff reach of every receptor atom scores exactly zero
-  // on the grid path (no ranges) and on the scalar path (cutoff skip).
+  // on the grid path (no ranges).
   ScoringFunction sf(receptor, ligand, {});
   Pose far(ligand.torsionCount());
   far.translation = receptor.centerOfMass() + Vec3{500, 500, 500};
@@ -200,32 +248,26 @@ TEST(PackedEquivalenceTest, MatchesScalarOutsideGridBoundingBox) {
 TEST(PackedDeterminismTest, ScoresBitIdenticalAcrossThreadCounts) {
   // Regression for multithreaded nondeterminism: the ordered
   // per-ligand-atom reduction must make serial and 1/2/8-thread pools
-  // agree to the last bit, for both kernels.
+  // agree to the last bit.
   const chem::Scenario sc = chem::buildScenario(chem::ScenarioSpec::tiny());
   ReceptorModel receptor(sc.receptor, 12.0);
   LigandModel ligand(sc.ligand);
   const auto poses = randomPoses(receptor, ligand, 6, 18.0, 5);
 
-  for (bool packed : {true, false}) {
-    ScoringOptions serialOpts;
-    serialOpts.packed = packed;
-    ScoringFunction serial(receptor, ligand, serialOpts);
+  ScoringFunction serial(receptor, ligand, {});
+  std::vector<double> reference;
+  std::vector<Vec3> scratch;
+  for (const Pose& p : poses) reference.push_back(serial.scorePose(p, scratch));
 
-    std::vector<double> reference;
-    std::vector<Vec3> scratch;
-    for (const Pose& p : poses) reference.push_back(serial.scorePose(p, scratch));
-
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      ThreadPool pool(threads);
-      ScoringOptions opts = serialOpts;
-      opts.pool = &pool;
-      ScoringFunction sf(receptor, ligand, opts);
-      for (std::size_t i = 0; i < poses.size(); ++i) {
-        // EXPECT_EQ, not NEAR: bit-identical is the contract.
-        EXPECT_EQ(sf.scorePose(poses[i], scratch), reference[i])
-            << (packed ? "packed" : "scalar") << " kernel, " << threads
-            << " threads, pose " << i;
-      }
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    ScoringOptions opts;
+    opts.pool = &pool;
+    ScoringFunction sf(receptor, ligand, opts);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      // EXPECT_EQ, not NEAR: bit-identical is the contract.
+      EXPECT_EQ(sf.scorePose(poses[i], scratch), reference[i])
+          << threads << " threads, pose " << i;
     }
   }
 }

@@ -1,11 +1,12 @@
 // Training-loop guards: the trainer's one lockstep loop must reproduce
 // the paper's Algorithm 2 (a test-local copy of its one-env loop) bit for
 // bit at V=1 (episode records, replay contents, online and target
-// weights); DockingVectorEnv at V=1 must reproduce a run on the task; and
-// V>1 runs must be deterministic across repeat runs and across thread
+// weights), for DqnAgent and C51Agent alike and across a greedy
+// evaluation; DockingVectorEnv at V=1 must reproduce a run on the task;
+// and V>1 runs must be deterministic across repeat runs and across thread
 // counts. Also pins down which VectorEnv implementation batches its
-// scoring (`batchedSteps`), and that each episode record carries the
-// env's termination reason.
+// scoring (`batchedSteps`), that each episode record carries the env's
+// termination reason, and that tied Q-values pick the first action.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/core/dqn_docking.hpp"
 #include "src/core/docking_vector_env.hpp"
 #include "src/core/pose_replay.hpp"
+#include "src/rl/c51_agent.hpp"
 #include "src/rl/corridor_env.hpp"
 #include "src/rl/trainer.hpp"
 #include "src/rl/vector_env.hpp"
@@ -32,19 +34,21 @@ core::DqnDockingConfig fastRawConfig() {
   return cfg;
 }
 
+void expectRecordIdentical(const rl::EpisodeRecord& ra, const rl::EpisodeRecord& rb) {
+  EXPECT_EQ(ra.episode, rb.episode);
+  EXPECT_EQ(ra.steps, rb.steps) << "episode " << ra.episode;
+  EXPECT_EQ(ra.totalReward, rb.totalReward) << "episode " << ra.episode;
+  EXPECT_EQ(ra.avgMaxQ, rb.avgMaxQ) << "episode " << ra.episode;
+  EXPECT_EQ(ra.finalScore, rb.finalScore) << "episode " << ra.episode;
+  EXPECT_EQ(ra.bestScore, rb.bestScore) << "episode " << ra.episode;
+  EXPECT_EQ(ra.epsilon, rb.epsilon) << "episode " << ra.episode;
+  EXPECT_EQ(ra.terminationCode, rb.terminationCode) << "episode " << ra.episode;
+}
+
 void expectRecordsIdentical(const rl::MetricsLog& a, const rl::MetricsLog& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const rl::EpisodeRecord& ra = a.records()[i];
-    const rl::EpisodeRecord& rb = b.records()[i];
-    EXPECT_EQ(ra.episode, rb.episode);
-    EXPECT_EQ(ra.steps, rb.steps) << "episode " << i;
-    EXPECT_EQ(ra.totalReward, rb.totalReward) << "episode " << i;
-    EXPECT_EQ(ra.avgMaxQ, rb.avgMaxQ) << "episode " << i;
-    EXPECT_EQ(ra.finalScore, rb.finalScore) << "episode " << i;
-    EXPECT_EQ(ra.bestScore, rb.bestScore) << "episode " << i;
-    EXPECT_EQ(ra.epsilon, rb.epsilon) << "episode " << i;
-    EXPECT_EQ(ra.terminationCode, rb.terminationCode) << "episode " << i;
+    expectRecordIdentical(a.records()[i], b.records()[i]);
   }
 }
 
@@ -99,47 +103,98 @@ void expectReplayIdentical(const rl::ExperienceSource& a, const rl::ExperienceSo
 /// The paper's Algorithm 2 as a one-env loop: per step, record max_a Q
 /// (Figure 4), act through selectAction on one Rng(seed), step the env,
 /// push the transition and count the learn cadence in transitions. The
-/// trainer's lockstep loop at V=1 must reproduce it bit for bit.
-rl::MetricsLog runAlgorithm2(rl::Environment& env, rl::DqnAgent& agent, rl::ExperienceSink& sink,
-                             rl::ExperienceSource& source, const rl::TrainerConfig& config) {
-  Rng rng(config.seed);
-  std::size_t globalStep = 0;
-  rl::MetricsLog log;
-  std::vector<double> state;
-  std::vector<double> nextState;
-  for (std::size_t e = 0; e < config.episodes; ++e) {
-    env.reset(state);
+/// trainer's lockstep loop at V=1 must reproduce it bit for bit. Every
+/// call continues the same stream and step count, so a run can be split
+/// around a greedy episode.
+template <typename AgentT>
+class Algorithm2 {
+ public:
+  Algorithm2(rl::Environment& env, AgentT& agent, rl::ExperienceSink& sink,
+             rl::ExperienceSource& source, const rl::TrainerConfig& config)
+      : env_(env), agent_(agent), sink_(sink), source_(source), config_(config),
+        rng_(config.seed) {}
+
+  /// `episodes` more training episodes, appended to the log.
+  const rl::MetricsLog& train(std::size_t episodes) {
+    for (std::size_t e = 0; e < episodes; ++e) {
+      env_.reset(state_);
+      rl::EpisodeRecord record;
+      record.episode = log_.size();
+      record.finalScore = env_.score();
+      record.bestScore = env_.score();
+      RunningStats maxQ;
+      bool terminal = false;
+      while (!terminal) {
+        const double epsilon = config_.epsilon.value(globalStep_);
+        record.epsilon = epsilon;
+        maxQ.add(agent_.maxQ(state_));
+        const int action = agent_.selectAction(state_, epsilon, rng_);
+        const rl::EnvStep result = env_.step(action, nextState_);
+        record.totalReward += result.reward;
+        record.terminationCode = result.terminationCode;
+        terminal = result.terminal;
+        sink_.push(state_, action, result.reward, nextState_, terminal);
+        state_ = nextState_;
+        ++record.steps;
+        ++globalStep_;
+        if (globalStep_ >= config_.learningStart && config_.learnEvery > 0 &&
+            globalStep_ % config_.learnEvery == 0) {
+          agent_.learn(source_, rng_);
+        }
+        const double score = env_.score();
+        record.finalScore = score;
+        record.bestScore = std::max(record.bestScore, score);
+      }
+      record.avgMaxQ = maxQ.count() ? maxQ.mean() : 0.0;
+      log_.add(record);
+    }
+    return log_;
+  }
+
+  /// One greedy episode on the same stream: max_a Q and selectAction at
+  /// epsilon 0 (which still draws its uniform()) per step; no push, no
+  /// learn, no step counted.
+  rl::EpisodeRecord greedyEpisode() {
+    env_.reset(state_);
     rl::EpisodeRecord record;
-    record.episode = e;
-    record.finalScore = env.score();
-    record.bestScore = env.score();
+    record.episode = log_.size();
+    record.finalScore = env_.score();
+    record.bestScore = env_.score();
     RunningStats maxQ;
     bool terminal = false;
     while (!terminal) {
-      const double epsilon = config.epsilon.value(globalStep);
-      record.epsilon = epsilon;
-      maxQ.add(agent.maxQ(state));
-      const int action = agent.selectAction(state, epsilon, rng);
-      const rl::EnvStep result = env.step(action, nextState);
+      maxQ.add(agent_.maxQ(state_));
+      const int action = agent_.selectAction(state_, /*epsilon=*/0.0, rng_);
+      const rl::EnvStep result = env_.step(action, nextState_);
       record.totalReward += result.reward;
       record.terminationCode = result.terminationCode;
       terminal = result.terminal;
-      sink.push(state, action, result.reward, nextState, terminal);
-      state = nextState;
+      state_ = nextState_;
       ++record.steps;
-      ++globalStep;
-      if (globalStep >= config.learningStart && config.learnEvery > 0 &&
-          globalStep % config.learnEvery == 0) {
-        agent.learn(source, rng);
-      }
-      const double score = env.score();
-      record.finalScore = score;
-      record.bestScore = std::max(record.bestScore, score);
+      record.finalScore = env_.score();
+      record.bestScore = std::max(record.bestScore, record.finalScore);
     }
     record.avgMaxQ = maxQ.count() ? maxQ.mean() : 0.0;
-    log.add(record);
+    return record;
   }
-  return log;
+
+ private:
+  rl::Environment& env_;
+  AgentT& agent_;
+  rl::ExperienceSink& sink_;
+  rl::ExperienceSource& source_;
+  const rl::TrainerConfig& config_;
+  Rng rng_;
+  std::size_t globalStep_ = 0;
+  rl::MetricsLog log_;
+  std::vector<double> state_;
+  std::vector<double> nextState_;
+};
+
+template <typename AgentT>
+rl::MetricsLog runAlgorithm2(rl::Environment& env, AgentT& agent, rl::ExperienceSink& sink,
+                             rl::ExperienceSource& source, const rl::TrainerConfig& config) {
+  return Algorithm2<AgentT>(env, agent, sink, source, config).train(config.episodes);
 }
 
 /// DqnDocking::train() at vectorEnvs 0 against Algorithm 2 driving a
@@ -189,6 +244,110 @@ TEST(VectorEnvEquivalence, TrainEpisodeMatchesAlgorithm2OnPoseReplay) {
   ASSERT_GT(oracle.agent().learnSteps(), 0u);
   expectRecordsIdentical(subject.metrics(), log);
   expectWeightsIdentical(subject.agent(), oracle.agent());
+}
+
+TEST(VectorEnvEquivalence, GreedyEvaluationDrawsFromTheTrainingStream) {
+  // evaluateGreedy draws one uniform() per step from the stream training
+  // uses, as Algorithm 2's selectAction does at epsilon 0, so the
+  // episodes trained after it see those draws.
+  core::DqnDockingConfig cfg = fastRawConfig();
+  cfg.trainer.episodes = 3;
+  core::DqnDocking subject(cfg);
+  core::DqnDocking oracle(cfg);
+  subject.train();
+  const rl::EpisodeRecord greedy = subject.evaluateGreedy();
+  for (int e = 0; e < 3; ++e) subject.trainEpisode();
+
+  rl::ReplayBuffer replay(cfg.replayCapacity, oracle.task().stateDim());
+  Algorithm2<rl::DqnAgent> algorithm2(oracle.task(), oracle.agent(), replay, replay,
+                                      cfg.trainer);
+  algorithm2.train(3);
+  const rl::EpisodeRecord oracleGreedy = algorithm2.greedyEpisode();
+  const rl::MetricsLog& log = algorithm2.train(3);
+
+  ASSERT_GT(oracle.agent().learnSteps(), 0u);
+  expectRecordIdentical(greedy, oracleGreedy);
+  expectRecordsIdentical(subject.metrics(), log);
+  expectWeightsIdentical(subject.agent(), oracle.agent());
+  expectReplayIdentical(subject.rawReplay(), replay, /*sampleSeed=*/8642);
+}
+
+/// A C51Agent on its own DockingTask with raw replay, built from the
+/// system config the way bench_dqn_variants builds its C51 row: one side
+/// of a C51 equivalence run. With `fold`, the agent folds the encoder's
+/// static prefix and the task emits dynamic-suffix states.
+struct C51Task {
+  C51Task(const core::DqnDockingConfig& cfg, bool fold)
+      : scenario(chem::buildScenario(cfg.scenario)),
+        env(scenario, cfg.env),
+        encoder(scenario, cfg.stateMode, cfg.normalizeStates),
+        task(env, encoder),
+        initRng(cfg.trainer.seed),
+        agent(encoder.dim(), env.actionCount(), c51Config(cfg), initRng),
+        replay(cfg.replayCapacity, fold ? encoder.dynamicDim() : encoder.dim()) {
+    if (fold) {
+      EXPECT_TRUE(agent.enableStaticPrefixFold(encoder.staticPrefix()));
+      task.setDynamicStates(true);
+    }
+  }
+
+  static rl::C51Config c51Config(const core::DqnDockingConfig& cfg) {
+    rl::C51Config c51;
+    c51.hiddenSizes = cfg.agent.hiddenSizes;
+    c51.batchSize = cfg.agent.batchSize;
+    c51.gamma = cfg.agent.gamma;
+    c51.targetSyncInterval = cfg.agent.targetSyncInterval;
+    c51.learningRate = 0.001;
+    return c51;
+  }
+
+  chem::Scenario scenario;
+  metadock::DockingEnv env;
+  core::StateEncoder encoder;
+  core::DockingTask task;
+  Rng initRng;
+  rl::C51Agent agent;
+  rl::ReplayBuffer replay;
+};
+
+/// rl::Trainer over a C51 task against Algorithm 2 driving a second,
+/// identically seeded one: records, replay and every action's learned
+/// distribution on probe states match bit for bit.
+void expectC51TrainMatchesAlgorithm2(const core::DqnDockingConfig& cfg, bool fold) {
+  C51Task subject(cfg, fold);
+  C51Task oracle(cfg, fold);
+  rl::Trainer trainer(subject.task, subject.agent, subject.replay, subject.replay, cfg.trainer);
+  trainer.run();
+  const rl::MetricsLog log =
+      runAlgorithm2(oracle.task, oracle.agent, oracle.replay, oracle.replay, cfg.trainer);
+
+  ASSERT_GT(oracle.agent.learnSteps(), 0u);
+  EXPECT_EQ(subject.agent.learnSteps(), oracle.agent.learnSteps());
+  expectRecordsIdentical(trainer.metrics(), log);
+  expectReplayIdentical(subject.replay, oracle.replay, /*sampleSeed=*/4321);
+  Rng probeRng(77);
+  std::vector<double> probe(subject.task.stateDim());
+  for (int p = 0; p < 4; ++p) {
+    for (double& v : probe) v = probeRng.uniform(-1.0, 1.0);
+    for (int a = 0; a < subject.agent.actionCount(); ++a) {
+      const std::vector<double> da = subject.agent.distribution(probe, a);
+      const std::vector<double> db = oracle.agent.distribution(probe, a);
+      ASSERT_EQ(da.size(), db.size());
+      for (std::size_t i = 0; i < da.size(); ++i) {
+        ASSERT_EQ(da[i], db[i]) << "probe " << p << " action " << a << " atom " << i;
+      }
+    }
+  }
+}
+
+TEST(VectorEnvEquivalence, C51TrainMatchesAlgorithm2OnLigandStates) {
+  expectC51TrainMatchesAlgorithm2(fastRawConfig(), /*fold=*/false);
+}
+
+TEST(VectorEnvEquivalence, C51TrainMatchesAlgorithm2OnFoldedFullStates) {
+  core::DqnDockingConfig cfg = fastRawConfig();
+  cfg.stateMode = core::StateMode::kFullWithBonds;
+  expectC51TrainMatchesAlgorithm2(cfg, /*fold=*/true);
 }
 
 TEST(VectorEnvEquivalence, V1TrainEpisodeMatchesTrain) {
@@ -354,6 +513,39 @@ TEST(VectorEnvSchedule, GreedyEvaluationDoesNotTrain) {
   EXPECT_DOUBLE_EQ(eval.epsilon, 0.0);
   EXPECT_EQ(system.trainer().globalStep(), stepsBefore);
   EXPECT_EQ(system.metrics().size(), 3u);
+}
+
+/// Every action ties at Q = 0.
+class TiedAgent final : public rl::Agent {
+ public:
+  explicit TiedAgent(int actions) : actions_(actions) {}
+  void qValuesBatch(const nn::Tensor& states, nn::Tensor& q) const override {
+    q.resize(states.rows(), static_cast<std::size_t>(actions_));
+  }
+  double learn(rl::ExperienceSource&, Rng&) override { return 0.0; }
+
+ private:
+  int actions_;
+};
+
+TEST(VectorEnvSchedule, TiedQValuesPickTheFirstAction) {
+  // Greedy on tied Q-values takes the first action, as selectAction's
+  // std::max_element does. Here that is "left", off the corridor's edge
+  // in one step, in training and in the greedy evaluation alike.
+  rl::CorridorEnv corridor(5, 40);
+  TiedAgent agent(corridor.actionCount());
+  rl::ReplayBuffer replay(64, corridor.stateDim());
+  rl::TrainerConfig cfg;
+  cfg.episodes = 3;
+  cfg.epsilon = rl::EpsilonSchedule(0.0, 0.0, 0.0, 0);
+  rl::Trainer trainer(corridor, agent, replay, replay, cfg);
+  for (const rl::EpisodeRecord& r : trainer.run().records()) {
+    EXPECT_EQ(r.steps, 1u) << "episode " << r.episode;
+    EXPECT_EQ(r.totalReward, -1.0) << "episode " << r.episode;
+  }
+  const rl::EpisodeRecord greedy = trainer.evaluateGreedy();
+  EXPECT_EQ(greedy.steps, 1u);
+  EXPECT_EQ(greedy.totalReward, -1.0);
 }
 
 TEST(VectorEnvSchedule, InvalidCombinationsRejected) {
