@@ -9,7 +9,9 @@
 // DockingTask) and for V in {1, 8, 32} DockingVectorEnv envs, plus a
 // short learning-phase row at V = 32, a sustained row that times one
 // long one-env learning run early and late, and a built-in check that
-// the `sequential` and V=1 runs are bit-identical.
+// the `sequential` and V=1 runs are bit-identical. Each collect row is
+// the median of kCollectRuns fresh runs, with the slowest and fastest
+// run's rates beside it.
 //
 // Output is a single JSON object on stdout; scripts/bench_training.py
 // wraps it into BENCH_training.json with the acceptance gate.
@@ -18,6 +20,7 @@
 //                       [--replay=512] [--learn-max-steps=10]
 //                       [--sustained-learns=18000] [--skip-identity]
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -52,6 +55,10 @@ core::DqnDockingConfig benchConfig(std::size_t vectorEnvs, std::size_t episodes,
   return cfg;
 }
 
+/// Fresh runs behind each collect row. One run lasts 4-8 ms at the
+/// default sizes, and single runs of a row land ~10% apart run to run.
+constexpr std::size_t kCollectRuns = 5;
+
 struct ModeResult {
   std::string label;
   std::size_t vectorEnvs = 0;
@@ -60,6 +67,11 @@ struct ModeResult {
   std::size_t batchedSteps = 0;
   std::size_t learnCalls = 0;
   double seconds = 0.0;
+  std::size_t runs = 1;
+  double minRate = 0.0;  ///< steps/s of the slowest run
+  double maxRate = 0.0;  ///< steps/s of the fastest run
+
+  double rate() const { return static_cast<double>(steps) / seconds; }
 };
 
 ModeResult runMode(const std::string& label, const chem::Scenario& scenario,
@@ -75,14 +87,30 @@ ModeResult runMode(const std::string& label, const chem::Scenario& scenario,
   r.batchedSteps = system.vectorEnv() ? system.vectorEnv()->batchedSteps() : 0;
   r.learnCalls = system.agent().learnSteps();
   r.seconds = clock.seconds();
+  r.minRate = r.maxRate = r.rate();
   std::fprintf(stderr, "  %-16s episodes=%zu steps=%zu learns=%zu %.2fs (%.0f steps/s)\n",
-               label.c_str(), r.episodes, r.steps, r.learnCalls, r.seconds,
-               static_cast<double>(r.steps) / r.seconds);
+               label.c_str(), r.episodes, r.steps, r.learnCalls, r.seconds, r.rate());
+  return r;
+}
+
+/// kCollectRuns fresh runs of one collect row: the median run, with the
+/// slowest and fastest rates beside it.
+ModeResult runCollect(const std::string& label, const chem::Scenario& scenario,
+                      const core::DqnDockingConfig& cfg, ThreadPool* pool) {
+  std::vector<ModeResult> runs;
+  for (std::size_t i = 0; i < kCollectRuns; ++i) {
+    runs.push_back(runMode(label, scenario, cfg, pool));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const ModeResult& a, const ModeResult& b) { return a.rate() < b.rate(); });
+  ModeResult r = runs[kCollectRuns / 2];
+  r.runs = kCollectRuns;
+  r.minRate = runs.front().rate();
+  r.maxRate = runs.back().rate();
   return r;
 }
 
 void printMode(const ModeResult& r, bool last) {
-  const double stepsPerSec = static_cast<double>(r.steps) / r.seconds;
   const double batchedFraction =
       r.steps ? static_cast<double>(r.batchedSteps) * static_cast<double>(r.vectorEnvs) /
                     static_cast<double>(r.steps)
@@ -90,9 +118,12 @@ void printMode(const ModeResult& r, bool last) {
   std::printf("    {\"label\": \"%s\", \"vector_envs\": %zu, \"episodes\": %zu, "
               "\"steps\": %zu, \"learn_calls\": %zu, \"seconds\": %.4f, "
               "\"steps_per_second\": %.1f, \"pose_evals_per_second\": %.1f, "
+              "\"runs\": %zu, \"steps_per_second_min\": %.1f, "
+              "\"steps_per_second_max\": %.1f, "
               "\"batched_steps\": %zu, \"batched_fraction\": %.4f}%s\n",
               r.label.c_str(), r.vectorEnvs, r.episodes, r.steps, r.learnCalls, r.seconds,
-              stepsPerSec, stepsPerSec, r.batchedSteps, batchedFraction, last ? "" : ",");
+              r.rate(), r.rate(), r.runs, r.minRate, r.maxRate, r.batchedSteps,
+              batchedFraction, last ? "" : ",");
 }
 
 /// Learn calls per second over two windows of one long one-env
@@ -190,15 +221,15 @@ int main(int argc, char** argv) {
 
   // --- Collect phase: sequential baseline, then V in {1, 8, 32}. -------
   std::vector<ModeResult> modes;
-  modes.push_back(runMode("sequential", scenario,
-                          benchConfig(0, episodes, maxSteps, seed, replayCapacity, false),
-                          &pool));
+  modes.push_back(runCollect("sequential", scenario,
+                             benchConfig(0, episodes, maxSteps, seed, replayCapacity, false),
+                             &pool));
   for (std::size_t v : {1u, 8u, 32u}) {
     // Episode quota >= V keeps the lockstep full for most of the run.
     const std::size_t quota = std::max(episodes, v);
-    modes.push_back(runMode("V=" + std::to_string(v), scenario,
-                            benchConfig(v, quota, maxSteps, seed, replayCapacity, false),
-                            &pool));
+    modes.push_back(runCollect("V=" + std::to_string(v), scenario,
+                               benchConfig(v, quota, maxSteps, seed, replayCapacity, false),
+                               &pool));
   }
 
   // --- Learning phase at V=32 vs sequential. SGD cost is per-transition

@@ -107,6 +107,20 @@ void ThreadPool::parallelFor(std::size_t begin, std::size_t end, std::size_t max
   }
 }
 
+void forEachIndex(ThreadPool* pool, std::size_t count, std::size_t parts,
+                  const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  auto participate = [&](std::size_t, std::size_t) {
+    for (std::size_t i; (i = next.fetch_add(1)) < count;) fn(i);
+  };
+  parts = std::min(parts, count);
+  if (pool == nullptr || parts <= 1) {
+    participate(0, 1);
+    return;
+  }
+  pool->parallelFor(0, parts, parts, participate);
+}
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;

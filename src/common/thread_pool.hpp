@@ -47,9 +47,10 @@ class ThreadPool {
 
   /// Same, but split into at most `maxParts` chunks (>= 1). Callers that
   /// know the per-chunk work is too small to amortize fan-out overhead
-  /// (e.g. the NN GEMMs at paper shapes, where every extra worker
-  /// re-streams the whole B matrix) cap the partition count instead of
-  /// going fully serial; maxParts == 1 degenerates to an inline call.
+  /// (the backward GEMMs below their per-worker work floor, the factored
+  /// optimizer sweep and the Q-forward below their per-participant
+  /// floors) cap the partition count instead of going fully serial;
+  /// maxParts == 1 degenerates to an inline call.
   void parallelFor(std::size_t begin, std::size_t end, std::size_t maxParts,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -71,5 +72,18 @@ class ThreadPool {
   std::size_t inFlight_ = 0;
   bool stop_ = false;
 };
+
+/// Self-scheduled parallel loop: fn(i) once for every i in [0, count).
+/// The caller and up to `parts` - 1 of `pool`'s workers enter one
+/// parallelFor, and each pulls the next index from one shared atomic
+/// counter until none is left. A worker that wakes late or is
+/// descheduled then delays at most the one index it holds, where a
+/// static split would hold the whole call on its fixed share. Runs
+/// inline on the caller when `pool` is null or parts <= 1; parts is
+/// capped at count and at threadCount() + 1. Blocks until every index
+/// has run. fn must not throw: a queued participant still references
+/// the counter when the caller would unwind.
+void forEachIndex(ThreadPool* pool, std::size_t count, std::size_t parts,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace dqndock

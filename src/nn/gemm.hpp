@@ -45,6 +45,13 @@ struct GemmEpilogue {
 void gemmABt(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool = nullptr,
              const GemmEpilogue& epilogue = {});
 
+/// Rows [lo, hi) of gemmABt, serial, into a C (and reluMask) already
+/// sized (m x n): nothing is resized and no row outside the range is
+/// touched, so threads may fill disjoint row ranges of one product.
+/// Every element gets the arithmetic gemmABt gives it.
+void gemmABtRows(const Tensor& a, const Tensor& b, Tensor& c, std::size_t lo, std::size_t hi,
+                 const GemmEpilogue& epilogue = {});
+
 /// C = A * B. A is (m x k), B is (k x n), C becomes (m x n). `mask`
 /// (m x n) is multiplied elementwise into the finished product — the
 /// fused ReLU-backward gate, bit-identical to a separate reluBackward

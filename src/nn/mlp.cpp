@@ -81,6 +81,14 @@ void DenseLayer::forward(const Tensor& x, Tensor& y, ThreadPool* pool, bool relu
   gemmABt(x, weights_, y, pool, epilogue);
 }
 
+void DenseLayer::forwardRows(const Tensor& x, Tensor& y, std::size_t lo, std::size_t hi,
+                             bool relu, Tensor* reluMask) const {
+  if (x.cols() != inDim()) {
+    throw std::invalid_argument("DenseLayer::forwardRows: input dim mismatch");
+  }
+  gemmABtRows(x, weights_, y, lo, hi, GemmEpilogue{&bias_, relu, reluMask});
+}
+
 void DenseLayer::backward(const Tensor& xCache, const Tensor& dy, Tensor* dx, ThreadPool* pool,
                           const Tensor* dxMask) {
   if (dy.cols() != outDim()) throw std::invalid_argument("DenseLayer::backward: grad dim mismatch");
@@ -157,18 +165,13 @@ void DenseLayer::refold() const {
   f.cachedVersion.store(v, std::memory_order_release);
 }
 
-void DenseLayer::forwardFolded(const Tensor& xd, Tensor& y, ThreadPool* pool, bool relu,
-                               Tensor* reluMask) const {
-  if (!fold_) throw std::logic_error("DenseLayer::forwardFolded: folding not configured");
+void DenseLayer::forwardFoldedRows(const Tensor& xd, Tensor& y, std::size_t lo, std::size_t hi,
+                                   bool relu, Tensor* reluMask) const {
+  if (!fold_) throw std::logic_error("DenseLayer::forwardFoldedRows: folding not configured");
   if (xd.cols() != dynamicDim()) {
-    throw std::invalid_argument("DenseLayer::forwardFolded: input dim != dynamicDim");
+    throw std::invalid_argument("DenseLayer::forwardFoldedRows: input dim != dynamicDim");
   }
-  refold();
-  GemmEpilogue epilogue;
-  epilogue.bias = &fold_->c;
-  epilogue.relu = relu;
-  epilogue.reluMask = reluMask;
-  gemmABt(xd, fold_->wd, y, pool, epilogue);
+  gemmABtRows(xd, fold_->wd, y, lo, hi, GemmEpilogue{&fold_->c, relu, reluMask});
 }
 
 FactoredPrefixGrad DenseLayer::factoredGrad(std::size_t paramIndex, ThreadPool* pool) const {
@@ -249,6 +252,22 @@ std::optional<FactoredPrefixGrad> Mlp::factoredGrad() const {
 }
 
 namespace {
+/// Rows per group of a split forward: the height of gemmABt's AVX-512
+/// register tile, so no group leaves a tile half full.
+constexpr std::size_t kRowsPerGroup = 4;
+
+/// Min multiply-adds per participant before a forward splits its rows:
+/// about 30 us of GEMM, against the 10-20 us a hand-off and wake-up of
+/// a pool worker cost. Measured at batch 32 on a 4-CPU AVX-512 host
+/// with a 4-thread pool, median of 2,000 forwards per part count, split
+/// and serial interleaved: the scaled preset's net (229 k MACs) ran
+/// 31 us serial and 37-49 us or 23-31 us split 2-5 ways, run to run; a
+/// 128-128-128-12 net (1.1 M MACs) 100-107 us serial and 46-67 us split
+/// 3-5 ways; the folded Table 1 net (1.79 M MACs) 184-219 us serial and
+/// 73-75 us split 5 ways. So the folded Table 1 forward spreads over
+/// every thread of a 4-thread pool and the scaled preset's stays serial.
+constexpr std::size_t kMinMacsPerPart = 256u * 1024u;
+
 /// Copy the dynamic suffix (columns [s, s+d)) of a full-width input into
 /// a packed (rows x d) tensor.
 void packDynamicSuffix(const Tensor& x, std::size_t s, std::size_t d, Tensor& xd) {
@@ -258,6 +277,59 @@ void packDynamicSuffix(const Tensor& x, std::size_t s, std::size_t d, Tensor& xd
   }
 }
 }  // namespace
+
+std::size_t Mlp::rowParts(std::size_t rows) const {
+  if (pool_ == nullptr) return 1;
+  std::size_t macsPerRow = 0;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    macsPerRow += (i == 0 ? dynamicInputDim() : layers_[i].inDim()) * layers_[i].outDim();
+  }
+  const std::size_t groups = (rows + kRowsPerGroup - 1) / kRowsPerGroup;
+  return std::max<std::size_t>(
+      1, std::min({groups, pool_->threadCount() + 1, rows * macsPerRow / kMinMacsPerPart}));
+}
+
+void Mlp::run(const Tensor& x, std::span<Tensor> acts, std::span<Tensor> masks,
+              Tensor& y) const {
+  // Everything shared happens here, on the caller, before any fan-out:
+  // the width check, the sizing of every output and the refold (it takes
+  // a mutex). A row group then only reads its rows of the layer inputs
+  // and writes its rows of the layer outputs.
+  const bool folded = foldActive();
+  if (x.cols() != (folded ? dynamicInputDim() : inputDim())) {
+    throw std::invalid_argument("Mlp: input dim mismatch");
+  }
+  const std::size_t rows = x.rows();
+  const std::size_t last = layers_.size() - 1;
+  for (std::size_t i = 0; i < last; ++i) {
+    acts[i].resizeOverwrite(rows, layers_[i].outDim());
+    if (!masks.empty()) masks[i].resizeOverwrite(rows, layers_[i].outDim());
+  }
+  y.resizeOverwrite(rows, outputDim());
+  if (folded) layers_.front().foldedBias();  // refolds if the weights moved
+  // Hidden layers fuse bias + ReLU (+ mask capture) into the GEMM sweep.
+  auto through = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = 0; i <= last; ++i) {
+      const Tensor& in = i == 0 ? x : acts[i - 1];
+      const bool hidden = i < last;
+      Tensor& out = hidden ? acts[i] : y;
+      Tensor* mask = hidden && !masks.empty() ? &masks[i] : nullptr;
+      if (i == 0 && folded) {
+        layers_[0].forwardFoldedRows(in, out, lo, hi, hidden, mask);
+      } else {
+        layers_[i].forwardRows(in, out, lo, hi, hidden, mask);
+      }
+    }
+  };
+  const std::size_t parts = rowParts(rows);
+  if (parts <= 1) {
+    through(0, rows);
+    return;
+  }
+  forEachIndex(pool_, (rows + kRowsPerGroup - 1) / kRowsPerGroup, parts, [&](std::size_t g) {
+    through(g * kRowsPerGroup, std::min(rows, (g + 1) * kRowsPerGroup));
+  });
+}
 
 const Tensor& Mlp::forward(const Tensor& x) {
   if (foldActive()) {
@@ -277,59 +349,35 @@ const Tensor& Mlp::forward(const Tensor& x) {
   } else {
     inputs_[0] = x;
   }
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const bool hidden = i + 1 < layers_.size();
-    // Hidden layers fuse bias + ReLU + mask capture into the GEMM sweep
-    // and land directly in the next layer's cached input slot — no
-    // per-call tensor allocation, no separate activation pass.
-    Tensor& y = hidden ? inputs_[i + 1] : output_;
-    if (i == 0 && foldActive()) {
-      layers_[0].forwardFolded(inputs_[0], y, pool_, hidden, hidden ? &reluMasks_[0] : nullptr);
-    } else {
-      layers_[i].forward(inputs_[i], y, pool_, hidden, hidden ? &reluMasks_[i] : nullptr);
-    }
-  }
+  // Hidden activations land directly in the next layer's cached input
+  // slot: no per-call tensor allocation, no separate activation pass.
+  run(inputs_[0], std::span(inputs_).subspan(1), reluMasks_, output_);
   return output_;
 }
 
 void Mlp::predict(const Tensor& x, Tensor& y) const {
   // Reentrancy: concurrent predict() calls share only the immutable
   // weights and the fold cache (whose lazy rebuild is internally
-  // synchronized), so hidden-layer scratch stays on the stack (two
-  // ping-pong buffers; a full-width input is packed at most once).
-  const bool folded = foldActive();
+  // synchronized), so the scratch stays local: one activation tensor
+  // per hidden layer (row groups of different layers run at once, so
+  // layers cannot share one), a packed copy of a full-width input, and
+  // the output when `y` is the input it would overwrite.
   Tensor packScratch;
   const Tensor* in = &x;
-  if (folded) {
-    const std::size_t d = dynamicInputDim();
-    if (x.cols() == inputDim()) {
-      packDynamicSuffix(x, staticPrefixLen(), d, packScratch);
-      in = &packScratch;
-    } else if (x.cols() != d) {
-      throw std::invalid_argument("Mlp::predict: input dim matches neither full nor dynamic");
-    }
+  if (foldActive() && x.cols() == inputDim()) {
+    packDynamicSuffix(x, staticPrefixLen(), dynamicInputDim(), packScratch);
+    in = &packScratch;
+  } else if (foldActive() && x.cols() != dynamicInputDim()) {
+    throw std::invalid_argument("Mlp::predict: input dim matches neither full nor dynamic");
   }
-  if (layers_.size() == 1) {
-    Tensor out;  // guard against y aliasing x
-    if (folded) {
-      layers_.front().forwardFolded(*in, out, pool_);
-    } else {
-      layers_.front().forward(*in, out, pool_);
-    }
+  std::vector<Tensor> acts(layers_.size() - 1);
+  if (in == &y) {
+    Tensor out;
+    run(*in, acts, {}, out);
     y = std::move(out);
-    return;
+  } else {
+    run(*in, acts, {}, y);
   }
-  Tensor ping, pong;
-  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    Tensor& out = (i % 2 == 0) ? ping : pong;
-    if (i == 0 && folded) {
-      layers_[0].forwardFolded(*in, out, pool_, /*relu=*/true);
-    } else {
-      layers_[i].forward(*in, out, pool_, /*relu=*/true);
-    }
-    in = &out;
-  }
-  layers_.back().forward(*in, y, pool_);
 }
 
 void Mlp::backward(const Tensor& dLossDOut) {

@@ -42,8 +42,8 @@ bool foldStaticEnabled();
 /// copyWeightsFrom, checkpoint restores and registry hot-swaps all
 /// invalidate it without bespoke hooks; the refold is lazy, serialized
 /// by a mutex, and published with acquire/release so concurrent const
-/// forwardFolded() callers (parallel collectors, the serve batcher)
-/// fold exactly once per weight version.
+/// forwards (parallel collectors, the serve batcher) fold exactly once
+/// per weight version.
 ///
 /// The refold keeps the row dots W_s * x_s apart from c. They stay
 /// current until the non-const weights() marks them stale, so a bias()
@@ -74,6 +74,11 @@ class DenseLayer {
   /// `reluMask`) is fused too — one pass over Y instead of three.
   void forward(const Tensor& x, Tensor& y, ThreadPool* pool, bool relu = false,
                Tensor* reluMask = nullptr) const;
+
+  /// Rows [lo, hi) of forward(), serial, into a y (and reluMask) already
+  /// sized (batch x outDim()); rows outside the range are left alone.
+  void forwardRows(const Tensor& x, Tensor& y, std::size_t lo, std::size_t hi,
+                   bool relu = false, Tensor* reluMask = nullptr) const;
 
   /// Given dL/dY, accumulate dL/dW and dL/db and produce dL/dX.
   /// `xCache` must be the input of the matching forward call. When
@@ -140,12 +145,17 @@ class DenseLayer {
   /// first when stale). Valid until the next refold.
   const Tensor& foldedBias() const;
 
-  /// Y = Xd * Wd^T + c, Xd being the (batch x dynamicDim) dynamic
-  /// suffix. Same fused epilogue as forward(); ≤1e-12 rel of the
-  /// unfolded result (the static partial sums are pre-accumulated) and
-  /// bit-deterministic across thread counts and runs per kernel tier.
-  void forwardFolded(const Tensor& xd, Tensor& y, ThreadPool* pool, bool relu = false,
-                     Tensor* reluMask = nullptr) const;
+  /// Rows [lo, hi) of Y = Xd * Wd^T + c, Xd being the (batch x
+  /// dynamicDim) dynamic suffix, serial, into a y (and reluMask) already
+  /// sized (batch x outDim()). Same fused epilogue as forward(); ≤1e-12
+  /// rel of the unfolded result (the static partial sums are
+  /// pre-accumulated) and bit-deterministic across row ranges, thread
+  /// counts and runs per kernel tier. It reads the fold cache as it
+  /// stands and never refolds: the refold takes a mutex, so the caller
+  /// brings the cache current first (foldedBias()), once, before it
+  /// hands row ranges to other threads.
+  void forwardFoldedRows(const Tensor& xd, Tensor& y, std::size_t lo, std::size_t hi,
+                         bool relu = false, Tensor* reluMask = nullptr) const;
 
   /// Descriptor of this layer's rank-1 weight gradient for an optimizer
   /// step whose parameter list holds the weights at `paramIndex`: the
@@ -235,8 +245,17 @@ class Mlp {
   const Tensor& forward(const Tensor& x);
 
   /// Forward without caching (inference-only; reentrant-safe scratch must
-  /// be supplied by the caller).
+  /// be supplied by the caller). `y` may be `x`.
   void predict(const Tensor& x, Tensor& y) const;
+
+  /// Participants a forward() or predict() of `rows` rows runs on: 1
+  /// (the caller alone) without a pool, below two row groups, or when
+  /// the call's multiply-adds would give a participant less than the
+  /// work floor; otherwise the caller plus pool workers, at most
+  /// pool()->threadCount() + 1. They pull groups of 4 rows from one
+  /// counter, and each group runs through every layer. Rows never mix,
+  /// so every split gives the serial bits.
+  std::size_t rowParts(std::size_t rows) const;
 
   /// Backprop dL/dOutput through the cached activations; accumulates
   /// parameter gradients (call zeroGrad() between optimizer steps).
@@ -262,6 +281,12 @@ class Mlp {
   ThreadPool* pool() const { return pool_; }
 
  private:
+  /// Rows of `x` (dynamic width when folded) through every layer: hidden
+  /// layer i writes acts[i] (and masks[i] unless masks is empty), the
+  /// last writes y. Sizes them all, brings the fold current, then runs
+  /// the rows on rowParts(x.rows()) participants.
+  void run(const Tensor& x, std::span<Tensor> acts, std::span<Tensor> masks, Tensor& y) const;
+
   std::vector<std::size_t> dims_;
   std::vector<DenseLayer> layers_;
   ThreadPool* pool_ = nullptr;

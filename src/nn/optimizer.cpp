@@ -1,7 +1,6 @@
 #include "src/nn/optimizer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -209,20 +208,8 @@ void forEachFactoredElem(const Tensor& param, const Tensor& packedGrad,
       if (idle != nullptr) idle->owed[r] = 0;
     }
   };
-  const std::size_t groups = (rows + kDotRows - 1) / kDotRows;
-  std::atomic<std::size_t> next{0};
-  auto participate = [&] {
-    for (std::size_t g; (g = next.fetch_add(1)) < groups;) {
-      sweepGroup(g * kDotRows, std::min(rows, (g + 1) * kDotRows));
-    }
-  };
-  const std::size_t maxParts = rows * full / kMinElemsPerPart;
-  if (fp.pool != nullptr && maxParts > 1) {
-    const std::size_t parts = std::min(maxParts, fp.pool->threadCount() + 1);
-    fp.pool->parallelFor(0, parts, parts, [&](std::size_t, std::size_t) { participate(); });
-  } else {
-    participate();
-  }
+  forEachIndex(fp.pool, (rows + kDotRows - 1) / kDotRows, rows * full / kMinElemsPerPart,
+               [&](std::size_t g) { sweepGroup(g * kDotRows, std::min(rows, (g + 1) * kDotRows)); });
   if (dots != nullptr && fp.rowDotsCurrent != nullptr) *fp.rowDotsCurrent = true;
 }
 }  // namespace

@@ -22,6 +22,23 @@ nn::Mlp makeNet(std::size_t stateDim, const C51Config& cfg, int actions, Rng& rn
 }
 }  // namespace
 
+void softmaxAtoms(const double* logits, std::size_t atoms, double* probs) {
+  const double maxLogit = *std::max_element(logits, logits + atoms);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < atoms; ++i) {
+    probs[i] = std::exp(logits[i] - maxLogit);
+    sum += probs[i];
+  }
+  for (std::size_t i = 0; i < atoms; ++i) probs[i] /= sum;
+}
+
+void softmaxBlocks(const nn::Tensor& logits, std::size_t atoms, nn::Tensor& probs) {
+  probs.resizeOverwrite(logits.rows(), logits.cols());  // every element written
+  for (std::size_t base = 0; base < logits.size(); base += atoms) {
+    softmaxAtoms(logits.data() + base, atoms, probs.data() + base);
+  }
+}
+
 C51Agent::C51Agent(std::size_t stateDim, int actionCount, C51Config config, Rng& rng,
                    ThreadPool* pool)
     : stateDim_(stateDim),
@@ -37,27 +54,6 @@ C51Agent::C51Agent(std::size_t stateDim, int actionCount, C51Config config, Rng&
   for (int i = 0; i < config_.atoms; ++i) support_[static_cast<std::size_t>(i)] = config_.vMin + i * deltaZ_;
   target_.copyWeightsFrom(online_);
   optimizer_ = nn::makeOptimizer(config_.optimizer, config_.learningRate);
-}
-
-void C51Agent::softmaxBlocks(const nn::Tensor& logits, nn::Tensor& probs) const {
-  const std::size_t atoms = static_cast<std::size_t>(config_.atoms);
-  probs.resizeOverwrite(logits.rows(), logits.cols());  // every element written
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    for (int a = 0; a < actions_; ++a) {
-      const std::size_t base = static_cast<std::size_t>(a) * atoms;
-      double maxLogit = logits(r, base);
-      for (std::size_t i = 1; i < atoms; ++i) {
-        maxLogit = std::max(maxLogit, logits(r, base + i));
-      }
-      double sum = 0.0;
-      for (std::size_t i = 0; i < atoms; ++i) {
-        const double e = std::exp(logits(r, base + i) - maxLogit);
-        probs(r, base + i) = e;
-        sum += e;
-      }
-      for (std::size_t i = 0; i < atoms; ++i) probs(r, base + i) /= sum;
-    }
-  }
 }
 
 bool C51Agent::enableStaticPrefixFold(std::span<const double> staticPrefix) {
@@ -76,9 +72,9 @@ void C51Agent::checkStateDim(std::size_t cols) const {
 
 void C51Agent::qValuesBatch(const nn::Tensor& states, nn::Tensor& q) const {
   checkStateDim(states.cols());
-  online_.predict(states, scratchLogits_);
-  softmaxBlocks(scratchLogits_, scratchProbs_);
   const std::size_t atoms = static_cast<std::size_t>(config_.atoms);
+  online_.predict(states, scratchLogits_);
+  softmaxBlocks(scratchLogits_, atoms, scratchProbs_);
   q.resizeOverwrite(states.rows(), static_cast<std::size_t>(actions_));  // every element written
   for (std::size_t r = 0; r < states.rows(); ++r) {
     for (int a = 0; a < actions_; ++a) {
@@ -104,10 +100,11 @@ std::vector<double> C51Agent::distribution(std::span<const double> state, int ac
   scratchState_.resize(1, state.size());
   std::copy(state.begin(), state.end(), scratchState_.data());
   online_.predict(scratchState_, scratchLogits_);
-  softmaxBlocks(scratchLogits_, scratchProbs_);
   const std::size_t atoms = static_cast<std::size_t>(config_.atoms);
-  const std::size_t base = static_cast<std::size_t>(action) * atoms;
-  return std::vector<double>(scratchProbs_.data() + base, scratchProbs_.data() + base + atoms);
+  std::vector<double> probs(atoms);
+  softmaxAtoms(scratchLogits_.data() + static_cast<std::size_t>(action) * atoms, atoms,
+               probs.data());
+  return probs;
 }
 
 int C51Agent::greedyAction(std::span<const double> state) const {
@@ -138,7 +135,7 @@ double C51Agent::learn(ExperienceSource& source, Rng& rng) {
 
   // --- Target distribution: categorical projection of r + gamma z. ------
   target_.predict(mb.nextStates, nextLogits_);
-  softmaxBlocks(nextLogits_, nextProbs_);
+  softmaxBlocks(nextLogits_, atoms, nextProbs_);
   const nn::Tensor& nextProbs = nextProbs_;
 
   // Greedy next action under the target net's expected values.
@@ -176,8 +173,14 @@ double C51Agent::learn(ExperienceSource& source, Rng& rng) {
   }
 
   // --- Cross-entropy step on the online network. -------------------------
+  // The loss and its gradient read only the taken action's atom block,
+  // so only that block is softmaxed: row b of probs_ holds it.
   const nn::Tensor& logits = online_.forward(mb.states);
-  softmaxBlocks(logits, probs_);
+  probs_.resizeOverwrite(batch, atoms);  // every element written
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::size_t base = static_cast<std::size_t>(mb.actions[b]) * atoms;
+    softmaxAtoms(logits.data() + b * logits.cols() + base, atoms, probs_.data() + b * atoms);
+  }
   const nn::Tensor& probs = probs_;
 
   // Zero-fill resize: only the taken action's atom block is written.
@@ -188,7 +191,7 @@ double C51Agent::learn(ExperienceSource& source, Rng& rng) {
   for (std::size_t b = 0; b < batch; ++b) {
     const std::size_t base = static_cast<std::size_t>(mb.actions[b]) * atoms;
     for (std::size_t i = 0; i < atoms; ++i) {
-      const double p = probs(b, base + i);
+      const double p = probs(b, i);
       const double target = m(b, i);
       if (target > 0.0) loss -= target * std::log(std::max(p, 1e-12)) * invBatch;
       // d(-sum m log softmax)/dlogit = p - m.

@@ -34,6 +34,15 @@ struct C51Config {
   double vMax = 10.0;    ///< support upper bound
 };
 
+/// Softmax of one atom block: probs[i] = e_i / Σ_j e_j with
+/// e_i = exp(logits[i] − max_j logits[j]), the sum taken in atom order.
+void softmaxAtoms(const double* logits, std::size_t atoms, double* probs);
+
+/// softmaxAtoms over every (row, action) block of `logits`, whose columns
+/// hold the action blocks of `atoms` entries side by side; `probs` takes
+/// logits' shape.
+void softmaxBlocks(const nn::Tensor& logits, std::size_t atoms, nn::Tensor& probs);
+
 class C51Agent final : public Agent {
  public:
   C51Agent(std::size_t stateDim, int actionCount, C51Config config, Rng& rng,
@@ -75,8 +84,6 @@ class C51Agent final : public Agent {
   std::size_t learnSteps() const { return learnSteps_; }
 
  private:
-  /// Per-(row, action) softmax over the atom block of `logits`.
-  void softmaxBlocks(const nn::Tensor& logits, nn::Tensor& probs) const;
   /// Throws unless `cols` is the full state width, or the dynamic width
   /// while the fold is active.
   void checkStateDim(std::size_t cols) const;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -26,6 +28,53 @@ C51Config smallConfig() {
   cfg.learningRate = 0.005;
   cfg.targetSyncInterval = 25;
   return cfg;
+}
+
+/// The per-block softmax as C51Agent wrote it out before softmaxAtoms:
+/// a running std::max for the shift, then exp and sum in atom order.
+void referenceSoftmax(const double* logits, std::size_t atoms, double* probs) {
+  double maxLogit = logits[0];
+  for (std::size_t i = 1; i < atoms; ++i) maxLogit = std::max(maxLogit, logits[i]);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < atoms; ++i) {
+    const double e = std::exp(logits[i] - maxLogit);
+    probs[i] = e;
+    sum += e;
+  }
+  for (std::size_t i = 0; i < atoms; ++i) probs[i] /= sum;
+}
+
+TEST(C51AgentTest, SoftmaxAtomsIsEveryBlockOfSoftmaxBlocks) {
+  // learn() softmaxes only the taken action's block through softmaxAtoms,
+  // while target rows and Q-values go through softmaxBlocks: a block must
+  // come out bitwise the same either way, and as the old loop made it.
+  const std::size_t atoms = 51, actions = 12, rows = 3;
+  Rng rng(42);
+  nn::Tensor random(rows, actions * atoms), huge(rows, actions * atoms),
+      tied(rows, actions * atoms);
+  for (std::size_t i = 0; i < random.size(); ++i) {
+    random.flat()[i] = 4.0 * rng.gaussian();
+    // Far past exp's range either way: only the shift by the max keeps
+    // the block finite, and most entries underflow to 0.
+    huge.flat()[i] = (i % 3 == 0 ? 1e300 : 800.0) * rng.gaussian();
+    // Whole blocks of one value, or several entries tied at the max.
+    tied.flat()[i] = (i / atoms) % 2 == 0 ? 1.5 : static_cast<double>(i % 4);
+  }
+  for (const nn::Tensor* logits : {&random, &huge, &tied}) {
+    nn::Tensor probs;
+    softmaxBlocks(*logits, atoms, probs);
+    ASSERT_TRUE(probs.sameShape(*logits));
+    std::vector<double> one(atoms), ref(atoms);
+    for (std::size_t base = 0; base < logits->size(); base += atoms) {
+      softmaxAtoms(logits->data() + base, atoms, one.data());
+      referenceSoftmax(logits->data() + base, atoms, ref.data());
+      EXPECT_EQ(std::memcmp(one.data(), probs.data() + base, atoms * sizeof(double)), 0)
+          << "block " << base / atoms;
+      EXPECT_EQ(std::memcmp(one.data(), ref.data(), atoms * sizeof(double)), 0)
+          << "block " << base / atoms;
+      EXPECT_TRUE(std::all_of(one.begin(), one.end(), [](double p) { return std::isfinite(p); }));
+    }
+  }
 }
 
 TEST(C51AgentTest, ConstructionValidation) {

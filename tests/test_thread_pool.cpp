@@ -85,6 +85,21 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(counter.load(), 8 * 16);
 }
 
+TEST(ThreadPoolTest, ForEachIndexRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (std::size_t count : {0u, 1u, 2u, 17u, 256u}) {
+      for (std::size_t parts : {0u, 1u, 2u, 4u, 64u}) {
+        std::vector<std::atomic<int>> hits(count);
+        forEachIndex(p, count, parts, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << count << ", parts " << parts;
+        }
+      }
+    }
+  }
+}
+
 TEST(ThreadPoolTest, GlobalPoolIsSingleton) {
   ThreadPool& a = ThreadPool::global();
   ThreadPool& b = ThreadPool::global();

@@ -468,6 +468,34 @@ TEST(VectorEnvDeterminism, V8IdenticalAcrossRunsAndThreadCounts) {
   EXPECT_EQ(serial.vectorEnv()->batchedSteps(), pooled.vectorEnv()->batchedSteps());
 }
 
+TEST(VectorEnvDeterminism, PaperNetAtV32LearnsIdenticallyOnAPool) {
+  // Table 1's Q-network at V = 32: the lockstep Q-forward and the learn
+  // calls' target and online forwards run at batch 32, where they split
+  // their rows over the pool. Two lockstep passes with learning on (the
+  // first pass's last transition starts it, so the second pass's
+  // forward reads stepped weights) must match a pool-less run bit for bit.
+  core::DqnDockingConfig cfg = core::DqnDockingConfig::paper2bsm();
+  cfg.vectorEnvs = 32;
+  cfg.env.maxSteps = 2;
+  cfg.trainer.episodes = 32;
+  cfg.trainer.learningStart = cfg.agent.batchSize;
+  cfg.trainer.epsilon = rl::EpsilonSchedule(0.05, 0.05, 0.0, 0);
+  cfg.replayCapacity = 128;
+
+  core::DqnDocking serial(cfg);
+  ThreadPool pool(3);
+  core::DqnDocking pooled(cfg, &pool);
+  EXPECT_EQ(pooled.foldActive(), nn::foldStaticEnabled());
+  const auto& net = dynamic_cast<const rl::MlpQNetwork&>(pooled.agent().online()).net();
+  EXPECT_GT(net.rowParts(cfg.vectorEnvs), 1u);
+
+  expectRecordsIdentical(serial.train(), pooled.train());
+  EXPECT_EQ(pooled.trainer().globalStep(), 2 * cfg.vectorEnvs);
+  EXPECT_EQ(pooled.agent().learnSteps(), cfg.vectorEnvs + 1);
+  expectWeightsIdentical(serial.agent(), pooled.agent());
+  expectReplayIdentical(serial.rawReplay(), pooled.rawReplay(), /*sampleSeed=*/31);
+}
+
 TEST(VectorEnvDeterminism, PerEnvStreamsAreSeedIndexKeyed) {
   // The stream is a pure function of (seed, index), like
   // ligandScreenStream: independent draws per env, reproducible.
