@@ -9,9 +9,9 @@
 // DockingTask) and for V in {1, 8, 32} DockingVectorEnv envs, plus a
 // short learning-phase row at V = 32, a sustained row that times one
 // long one-env learning run early and late, and a built-in check that
-// the `sequential` and V=1 runs are bit-identical. Each collect row is
-// the median of kCollectRuns fresh runs, with the slowest and fastest
-// run's rates beside it.
+// the `sequential` and V=1 runs are bit-identical. Each collect and
+// learn row is the median of kRunsPerRow fresh runs, with the slowest
+// and fastest run's rates beside it.
 //
 // Output is a single JSON object on stdout; scripts/bench_training.py
 // wraps it into BENCH_training.json with the acceptance gate.
@@ -55,9 +55,10 @@ core::DqnDockingConfig benchConfig(std::size_t vectorEnvs, std::size_t episodes,
   return cfg;
 }
 
-/// Fresh runs behind each collect row. One run lasts 4-8 ms at the
-/// default sizes, and single runs of a row land ~10% apart run to run.
-constexpr std::size_t kCollectRuns = 5;
+/// Fresh runs behind each collect and learn row. One collect run lasts
+/// 4-8 ms at the default sizes, and single runs of a row land ~10%
+/// apart run to run; a learn run's rate follows the host's phase too.
+constexpr std::size_t kRunsPerRow = 5;
 
 struct ModeResult {
   std::string label;
@@ -93,18 +94,18 @@ ModeResult runMode(const std::string& label, const chem::Scenario& scenario,
   return r;
 }
 
-/// kCollectRuns fresh runs of one collect row: the median run, with the
-/// slowest and fastest rates beside it.
-ModeResult runCollect(const std::string& label, const chem::Scenario& scenario,
-                      const core::DqnDockingConfig& cfg, ThreadPool* pool) {
+/// kRunsPerRow fresh runs of one row: the median run, with the slowest
+/// and fastest rates beside it.
+ModeResult runMedian(const std::string& label, const chem::Scenario& scenario,
+                     const core::DqnDockingConfig& cfg, ThreadPool* pool) {
   std::vector<ModeResult> runs;
-  for (std::size_t i = 0; i < kCollectRuns; ++i) {
+  for (std::size_t i = 0; i < kRunsPerRow; ++i) {
     runs.push_back(runMode(label, scenario, cfg, pool));
   }
   std::sort(runs.begin(), runs.end(),
             [](const ModeResult& a, const ModeResult& b) { return a.rate() < b.rate(); });
-  ModeResult r = runs[kCollectRuns / 2];
-  r.runs = kCollectRuns;
+  ModeResult r = runs[kRunsPerRow / 2];
+  r.runs = kRunsPerRow;
   r.minRate = runs.front().rate();
   r.maxRate = runs.back().rate();
   return r;
@@ -221,15 +222,15 @@ int main(int argc, char** argv) {
 
   // --- Collect phase: sequential baseline, then V in {1, 8, 32}. -------
   std::vector<ModeResult> modes;
-  modes.push_back(runCollect("sequential", scenario,
-                             benchConfig(0, episodes, maxSteps, seed, replayCapacity, false),
-                             &pool));
+  modes.push_back(runMedian("sequential", scenario,
+                            benchConfig(0, episodes, maxSteps, seed, replayCapacity, false),
+                            &pool));
   for (std::size_t v : {1u, 8u, 32u}) {
     // Episode quota >= V keeps the lockstep full for most of the run.
     const std::size_t quota = std::max(episodes, v);
-    modes.push_back(runCollect("V=" + std::to_string(v), scenario,
-                               benchConfig(v, quota, maxSteps, seed, replayCapacity, false),
-                               &pool));
+    modes.push_back(runMedian("V=" + std::to_string(v), scenario,
+                              benchConfig(v, quota, maxSteps, seed, replayCapacity, false),
+                              &pool));
   }
 
   // --- Learning phase at V=32 vs sequential. SGD cost is per-transition
@@ -242,10 +243,10 @@ int main(int argc, char** argv) {
   // a second: one discarded learn pass warms them before the timed rows.
   runMode("learn-warmup", scenario,
           benchConfig(0, 32, learnMaxSteps, seed, replayCapacity, true), &pool);
-  ModeResult learnSeq = runMode(
+  const ModeResult learnSeq = runMedian(
       "learn-sequential", scenario,
       benchConfig(0, 32, learnMaxSteps, seed, replayCapacity, true), &pool);
-  ModeResult learnVec = runMode(
+  const ModeResult learnVec = runMedian(
       "learn-V=32", scenario,
       benchConfig(32, 32, learnMaxSteps, seed, replayCapacity, true), &pool);
   const SustainedResult sustained =

@@ -8,8 +8,9 @@ Algorithm 2), the V in {1, 8, 32} rows run DockingVectorEnv envs feeding
 the pose-batched scoring kernel and one tiled Q-forward per step. The
 binary reports collect-phase and learning-phase transitions/second (one
 candidate pose is scored per transition, so steps/s == pose-evals/s;
-each collect row is the median of 5 fresh runs, with the slowest and
-fastest run's rates as steps_per_second_min/_max beside it), a
+each collect and learn row is the median of 5 fresh runs, with the
+slowest and fastest run's rates as steps_per_second_min/_max beside
+it), a
 learn-sustained row (one long one-env learning run timed over learn
 calls 2,000-4,000 and 16,000-18,000) and a built-in check that the
 `sequential` and V=1 runs are bit-identical.

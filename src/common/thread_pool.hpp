@@ -45,12 +45,13 @@ class ThreadPool {
   void parallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Same, but split into at most `maxParts` chunks (>= 1). Callers that
-  /// know the per-chunk work is too small to amortize fan-out overhead
-  /// (the backward GEMMs below their per-worker work floor, the factored
-  /// optimizer sweep and the Q-forward below their per-participant
-  /// floors) cap the partition count instead of going fully serial;
-  /// maxParts == 1 degenerates to an inline call.
+  /// Same, but split into at most `maxParts` chunks (>= 1); maxParts ==
+  /// 1 degenerates to an inline call. forEachIndex below enters through
+  /// it with one chunk per participant, so the Q-network's two fan-outs
+  /// (the forward row groups and the factored optimizer sweep) cap their
+  /// participants at their per-participant work floors instead of going
+  /// fully serial when the per-chunk work is too small to amortize a
+  /// fan-out.
   void parallelFor(std::size_t begin, std::size_t end, std::size_t maxParts,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -46,8 +46,8 @@ struct DqnDockingConfig {
   /// Static-prefix input-layer fold override. Unset defers to the
   /// DQNDOCK_FOLD_STATIC environment gate (default on); an explicit
   /// value wins over the environment. Only takes effect when the state
-  /// mode has a constant prefix (kFullPositions / kFullWithBonds) and
-  /// the agent architecture supports folding (not dueling).
+  /// mode has a constant prefix (kFullPositions / kFullWithBonds); the
+  /// plain and the dueling Q-network both fold.
   std::optional<bool> foldStatic{};
 
   /// Table 1 verbatim: 2BSM-sized scenario, 16,599-real state, 12

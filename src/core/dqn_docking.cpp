@@ -47,10 +47,9 @@ void DqnDocking::build(ThreadPool* pool) {
 
   // Static-prefix fold: the config override wins over the
   // DQNDOCK_FOLD_STATIC environment gate. Inert when the state has no
-  // constant prefix (ligand-only mode) or the architecture can't fold
-  // (dueling) — enableStaticPrefixFold then returns false and the whole
-  // pipeline keeps full-width states, byte-identical to the pre-fold
-  // code path.
+  // constant prefix (ligand-only mode): the whole pipeline then keeps
+  // full-width states, byte-identical to the pre-fold code path. The
+  // plain and the dueling Q-network both fold.
   const bool wantFold = config_.foldStatic.value_or(nn::foldStaticEnabled());
   const bool foldActive =
       wantFold && encoder_->staticPrefixLen() > 0 &&

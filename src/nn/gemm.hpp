@@ -1,13 +1,15 @@
 #pragma once
 
 /// \file gemm.hpp
-/// Runtime-dispatched, optionally thread-parallel matrix multiply
-/// kernels — the entire FLOP budget of DQN training flows through these
-/// three shapes: forward (X*W^T), input gradient (dY*W) and weight
-/// gradient (dY^T*X). Per-ISA kernel tiers live behind the dispatch
-/// table in gemm_kernels.hpp; each call runs the active tier of
-/// src/common/cpu_tier.hpp (an environment override pins it). Every
-/// tier is bit-deterministic across thread counts and runs.
+/// Runtime-dispatched matrix multiply kernels — the entire FLOP budget
+/// of DQN training flows through these three shapes: forward (X*W^T),
+/// input gradient (dY*W) and weight gradient (dY^T*X). Per-ISA kernel
+/// tiers live behind the dispatch table in gemm_kernels.hpp; each call
+/// runs the active tier of src/common/cpu_tier.hpp (an environment
+/// override pins it). Every call runs on its caller's thread; threads
+/// enter the Q-network above this layer, in nn::Mlp's forward row groups
+/// (gemmABtRows) and the factored optimizer sweep. Every tier is
+/// bit-deterministic across row ranges and runs.
 ///
 /// Zero-skip semantics (gemmAB / gemmAtBAccum): rows of B whose matching
 /// A element is exactly 0.0 are skipped entirely. In backprop A is a
@@ -21,7 +23,6 @@
 /// kernel tiers implement the same skip, keeping them equivalent on
 /// non-finite inputs too.
 
-#include "src/common/thread_pool.hpp"
 #include "src/nn/tensor.hpp"
 
 namespace dqndock::nn {
@@ -41,9 +42,8 @@ struct GemmEpilogue {
 };
 
 /// C = A * B^T (+ fused epilogue). A is (m x k), B is (n x k), C
-/// becomes (m x n). Rows of C are distributed over `pool` when given.
-void gemmABt(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool = nullptr,
-             const GemmEpilogue& epilogue = {});
+/// becomes (m x n).
+void gemmABt(const Tensor& a, const Tensor& b, Tensor& c, const GemmEpilogue& epilogue = {});
 
 /// Rows [lo, hi) of gemmABt, serial, into a C (and reluMask) already
 /// sized (m x n): nothing is resized and no row outside the range is
@@ -54,13 +54,12 @@ void gemmABtRows(const Tensor& a, const Tensor& b, Tensor& c, std::size_t lo, st
 
 /// C = A * B. A is (m x k), B is (k x n), C becomes (m x n). `mask`
 /// (m x n) is multiplied elementwise into the finished product — the
-/// fused ReLU-backward gate, bit-identical to a separate reluBackward
-/// pass over the result.
-void gemmAB(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool = nullptr,
-            const Tensor* mask = nullptr);
+/// fused ReLU-backward gate, bit-identical to multiplying the result
+/// by the mask in a separate pass.
+void gemmAB(const Tensor& a, const Tensor& b, Tensor& c, const Tensor* mask = nullptr);
 
 /// C += A^T * B. A is (k x m), B is (k x n), C must be (m x n).
 /// (Accumulating form: weight gradients sum over the minibatch.)
-void gemmAtBAccum(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool = nullptr);
+void gemmAtBAccum(const Tensor& a, const Tensor& b, Tensor& c);
 
 }  // namespace dqndock::nn

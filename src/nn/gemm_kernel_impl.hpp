@@ -13,10 +13,9 @@
 namespace dqndock::nn::detail {
 
 /// Fused gemmABt epilogue for one output element: bias add, then the
-/// ReLU clamp with optional mask capture. The `v > 0` form matches
-/// reluForward() (a ReLU output is never -0.0) and every tier applies
-/// exactly this sequence, so fusing is bit-identical to the former
-/// separate bias/ReLU passes.
+/// ReLU clamp with optional mask capture. The `v > 0` form keeps a ReLU
+/// output from ever being -0.0, and every tier applies exactly this
+/// sequence, so fusing is bit-identical to separate bias/ReLU passes.
 inline void storeWithEpilogue(double* cPtr, double v, const double* bias, std::size_t j, bool relu,
                               double* maskPtr) {
   if (bias != nullptr) v += bias[j];

@@ -71,16 +71,6 @@ void DenseLayer::initHe(Rng& rng) {
   bias_.fill(0.0);
 }
 
-void DenseLayer::forward(const Tensor& x, Tensor& y, ThreadPool* pool, bool relu,
-                         Tensor* reluMask) const {
-  if (x.cols() != inDim()) throw std::invalid_argument("DenseLayer::forward: input dim mismatch");
-  GemmEpilogue epilogue;
-  epilogue.bias = &bias_;
-  epilogue.relu = relu;
-  epilogue.reluMask = reluMask;
-  gemmABt(x, weights_, y, pool, epilogue);
-}
-
 void DenseLayer::forwardRows(const Tensor& x, Tensor& y, std::size_t lo, std::size_t hi,
                              bool relu, Tensor* reluMask) const {
   if (x.cols() != inDim()) {
@@ -89,16 +79,16 @@ void DenseLayer::forwardRows(const Tensor& x, Tensor& y, std::size_t lo, std::si
   gemmABtRows(x, weights_, y, lo, hi, GemmEpilogue{&bias_, relu, reluMask});
 }
 
-void DenseLayer::backward(const Tensor& xCache, const Tensor& dy, Tensor* dx, ThreadPool* pool,
+void DenseLayer::backward(const Tensor& xCache, const Tensor& dy, Tensor* dx,
                           const Tensor* dxMask) {
   if (dy.cols() != outDim()) throw std::invalid_argument("DenseLayer::backward: grad dim mismatch");
   // dW += dY^T * X ; db += column sums of dY ; dX = (dY * W) .* dxMask.
-  gemmAtBAccum(dy, xCache, gradW_, pool);
+  gemmAtBAccum(dy, xCache, gradW_);
   for (std::size_t r = 0; r < dy.rows(); ++r) {
     const double* row = dy.data() + r * dy.cols();
     for (std::size_t c = 0; c < dy.cols(); ++c) gradB_(0, c) += row[c];
   }
-  if (dx != nullptr) gemmAB(dy, weights_, *dx, pool, dxMask);
+  if (dx != nullptr) gemmAB(dy, weights_, *dx, dxMask);
 }
 
 void DenseLayer::zeroGrad() {
@@ -187,35 +177,18 @@ FactoredPrefixGrad DenseLayer::factoredGrad(std::size_t paramIndex, ThreadPool* 
   return fg;
 }
 
-void DenseLayer::backwardFolded(const Tensor& xdCache, const Tensor& dy, ThreadPool* pool) {
+void DenseLayer::backwardFolded(const Tensor& xdCache, const Tensor& dy) {
   if (!fold_) throw std::logic_error("DenseLayer::backwardFolded: folding not configured");
   if (dy.cols() != outDim()) {
     throw std::invalid_argument("DenseLayer::backwardFolded: grad dim mismatch");
   }
   // Packed dW_d += dY^T * Xd ; db += column sums of dY (db doubles as
   // the rank-1 static-column coefficient: dW_s = db ⊗ x_s).
-  gemmAtBAccum(dy, xdCache, gradW_, pool);
+  gemmAtBAccum(dy, xdCache, gradW_);
   for (std::size_t r = 0; r < dy.rows(); ++r) {
     const double* row = dy.data() + r * dy.cols();
     for (std::size_t c = 0; c < dy.cols(); ++c) gradB_(0, c) += row[c];
   }
-}
-
-void reluForward(Tensor& x, Tensor& mask) {
-  mask.resizeOverwrite(x.rows(), x.cols());  // every element written below
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x.flat()[i] > 0.0) {
-      mask.flat()[i] = 1.0;
-    } else {
-      x.flat()[i] = 0.0;
-      mask.flat()[i] = 0.0;
-    }
-  }
-}
-
-void reluBackward(Tensor& grad, const Tensor& mask) {
-  if (!grad.sameShape(mask)) throw std::invalid_argument("reluBackward: shape mismatch");
-  for (std::size_t i = 0; i < grad.size(); ++i) grad.flat()[i] *= mask.flat()[i];
 }
 
 Mlp::Mlp(std::vector<std::size_t> dims, Rng& rng, ThreadPool* pool)
@@ -389,9 +362,9 @@ void Mlp::backward(const Tensor& dLossDOut) {
     // ping-pong between two member buffers reused across calls. The
     // input layer (i == 0) produces no dX: nothing consumes dL/dInput.
     if (i == 0 && foldActive()) {
-      layers_[0].backwardFolded(inputs_[0], *grad, pool_);
+      layers_[0].backwardFolded(inputs_[0], *grad);
     } else {
-      layers_[i].backward(inputs_[i], *grad, i > 0 ? dx : nullptr, pool_,
+      layers_[i].backward(inputs_[i], *grad, i > 0 ? dx : nullptr,
                           i > 0 ? &reluMasks_[i - 1] : nullptr);
     }
     std::swap(grad, dx);

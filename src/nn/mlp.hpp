@@ -69,25 +69,21 @@ class DenseLayer {
   /// He-normal weight init (suits the ReLU trunk), zero bias.
   void initHe(Rng& rng);
 
-  /// Y = X*W^T + b, with the bias fused into the GEMM output sweep.
-  /// When `relu`, the ReLU clamp (and optional keep-mask capture into
-  /// `reluMask`) is fused too — one pass over Y instead of three.
-  void forward(const Tensor& x, Tensor& y, ThreadPool* pool, bool relu = false,
-               Tensor* reluMask = nullptr) const;
-
-  /// Rows [lo, hi) of forward(), serial, into a y (and reluMask) already
-  /// sized (batch x outDim()); rows outside the range are left alone.
+  /// Rows [lo, hi) of Y = X*W^T + b, serial, into a y (and reluMask)
+  /// already sized (batch x outDim()); rows outside the range are left
+  /// alone. The bias rides the GEMM output sweep; when `relu`, so do the
+  /// ReLU clamp and the optional keep-mask capture into `reluMask`.
   void forwardRows(const Tensor& x, Tensor& y, std::size_t lo, std::size_t hi,
                    bool relu = false, Tensor* reluMask = nullptr) const;
 
   /// Given dL/dY, accumulate dL/dW and dL/db and produce dL/dX.
   /// `xCache` must be the input of the matching forward call. When
   /// `dxMask` is given it is multiplied elementwise into dX inside the
-  /// GEMM (the ReLU gate of the layer below), replacing a separate
-  /// reluBackward pass. A null `dx` skips the dL/dX GEMM entirely — the
-  /// input layer's callers never read it, and at paper dims that GEMM
-  /// streams the full 135 x 16,599 weight matrix for nothing.
-  void backward(const Tensor& xCache, const Tensor& dy, Tensor* dx, ThreadPool* pool,
+  /// GEMM (the ReLU gate of the layer below). A null `dx` skips the
+  /// dL/dX GEMM entirely — the input layer's callers never read it, and
+  /// at paper dims that GEMM streams the full 135 x 16,599 weight matrix
+  /// for nothing.
+  void backward(const Tensor& xCache, const Tensor& dy, Tensor* dx,
                 const Tensor* dxMask = nullptr);
 
   void zeroGrad();
@@ -169,7 +165,7 @@ class DenseLayer {
   /// weight gradient and the bias gradient (which doubles as the
   /// rank-1 coefficient for the static columns). Never produces dX —
   /// nothing consumes dL/dState.
-  void backwardFolded(const Tensor& xdCache, const Tensor& dy, ThreadPool* pool);
+  void backwardFolded(const Tensor& xdCache, const Tensor& dy);
 
  private:
   struct Fold {
@@ -203,10 +199,6 @@ class DenseLayer {
   std::uint64_t version_ = 1;
   std::unique_ptr<Fold> fold_;
 };
-
-/// In-place ReLU with mask capture for the backward pass.
-void reluForward(Tensor& x, Tensor& mask);
-void reluBackward(Tensor& grad, const Tensor& mask);
 
 /// MLP: Dense -> ReLU -> ... -> Dense (linear output).
 class Mlp {

@@ -6,6 +6,12 @@
 /// "reducing the computational cost once the NN is already trained" —
 /// by training once and reloading the policy for cheap greedy docking
 /// (see examples/evaluate_policy.cpp).
+///
+/// Both architectures store their nn::Mlp's tensors: W, b per layer, so
+/// 2L + 2 tensors for L hidden layers. A dueling checkpoint's last pair
+/// is the merged (1 + K)-row [V; A] head. Dueling files written while V
+/// and A were separate heads hold 2L + 4 tensors; loadWeights refuses
+/// them with "parameter-count mismatch" rather than misreading them.
 
 #include <iosfwd>
 #include <string>

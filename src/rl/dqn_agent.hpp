@@ -57,9 +57,9 @@ class DqnAgent final : public Agent {
   const DqnConfig& config() const { return config_; }
 
   /// Fold the constant state prefix out of both the online and target
-  /// input layers (nn::Mlp::configureStaticPrefix). Returns false — and
-  /// leaves both nets unfolded — when the architecture doesn't support
-  /// it (dueling) or the prefix is degenerate. Once active, every
+  /// input layers (nn::Mlp::configureStaticPrefix; the plain and the
+  /// dueling net both run on one). Returns false — and leaves both nets
+  /// unfolded — when the prefix is degenerate. Once active, every
   /// state-taking entry point accepts either full-width states or just
   /// the dynamicStateDim() suffix, and learn() routes the input-layer
   /// weight update through the rank-1 factored path.

@@ -8,50 +8,26 @@ namespace dqndock::rl {
 
 PrioritizedReplayBuffer::PrioritizedReplayBuffer(std::size_t capacity, std::size_t stateDim,
                                                  PrioritizedReplayConfig config)
-    : capacity_(capacity),
-      stateDim_(stateDim),
-      config_(config),
-      beta_(config.beta),
-      tree_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("PrioritizedReplayBuffer: capacity must be > 0");
-  if (stateDim == 0) throw std::invalid_argument("PrioritizedReplayBuffer: stateDim must be > 0");
-  states_.resize(capacity * stateDim);
-  nextStates_.resize(capacity * stateDim);
-  actions_.resize(capacity);
-  rewards_.resize(capacity);
-  terminals_.resize(capacity);
-}
+    : transitions_(capacity, stateDim), config_(config), beta_(config.beta), tree_(capacity) {}
 
 void PrioritizedReplayBuffer::push(std::span<const double> state, int action, double reward,
                                    std::span<const double> nextState, bool terminal) {
-  if (state.size() != stateDim_ || nextState.size() != stateDim_) {
-    throw std::invalid_argument("PrioritizedReplayBuffer::push: state dim mismatch");
-  }
-  float* s = states_.data() + head_ * stateDim_;
-  float* s2 = nextStates_.data() + head_ * stateDim_;
-  for (std::size_t i = 0; i < stateDim_; ++i) {
-    s[i] = static_cast<float>(state[i]);
-    s2[i] = static_cast<float>(nextState[i]);
-  }
-  actions_[head_] = action;
-  rewards_[head_] = static_cast<float>(reward);
-  terminals_[head_] = terminal ? 1 : 0;
-  tree_.update(head_, std::pow(maxSeenPriority_, config_.alpha));
-  head_ = (head_ + 1) % capacity_;
-  if (count_ < capacity_) ++count_;
+  const std::size_t slot = transitions_.nextSlot();
+  transitions_.push(state, action, reward, nextState, terminal);
+  tree_.update(slot, std::pow(maxSeenPriority_, config_.alpha));
 }
 
 Minibatch PrioritizedReplayBuffer::sample(std::size_t batch, Rng& rng) const {
-  if (count_ == 0) throw std::logic_error("PrioritizedReplayBuffer::sample: buffer is empty");
   Minibatch mb;
-  mb.states.resize(batch, stateDim_);
-  mb.nextStates.resize(batch, stateDim_);
-  mb.actions.resize(batch);
-  mb.rewards.resize(batch);
-  mb.terminals.resize(batch);
+  sampleInto(mb, batch, rng);
+  return mb;
+}
 
-  lastIndices_.assign(batch, 0);
-  lastWeights_.assign(batch, 1.0);
+void PrioritizedReplayBuffer::sampleInto(Minibatch& mb, std::size_t batch, Rng& rng) const {
+  const std::size_t count = size();
+  if (count == 0) throw std::logic_error("PrioritizedReplayBuffer::sample: buffer is empty");
+  lastIndices_.resize(batch);
+  lastWeights_.resize(batch);
   const double total = tree_.total();
   const double segment = total / static_cast<double>(batch);
 
@@ -59,30 +35,18 @@ Minibatch PrioritizedReplayBuffer::sample(std::size_t batch, Rng& rng) const {
   for (std::size_t b = 0; b < batch; ++b) {
     // Stratified sampling: one draw per equal-mass segment.
     const double mass = segment * (static_cast<double>(b) + rng.uniform());
-    const std::size_t idx = std::min(tree_.find(mass), count_ - 1);
+    const std::size_t idx = std::min(tree_.find(mass), count - 1);
     lastIndices_[b] = idx;
 
     const double p = tree_.priority(idx) / total;
-    const double w = std::pow(static_cast<double>(count_) * std::max(p, 1e-12), -beta_);
+    const double w = std::pow(static_cast<double>(count) * std::max(p, 1e-12), -beta_);
     lastWeights_[b] = w;
     maxWeight = std::max(maxWeight, w);
-
-    const float* s = states_.data() + idx * stateDim_;
-    const float* s2 = nextStates_.data() + idx * stateDim_;
-    double* ms = mb.states.data() + b * stateDim_;
-    double* ms2 = mb.nextStates.data() + b * stateDim_;
-    for (std::size_t i = 0; i < stateDim_; ++i) {
-      ms[i] = s[i];
-      ms2[i] = s2[i];
-    }
-    mb.actions[b] = actions_[idx];
-    mb.rewards[b] = rewards_[idx];
-    mb.terminals[b] = terminals_[idx];
   }
   // Normalise weights by the max (standard PER stabilisation).
   for (double& w : lastWeights_) w /= maxWeight;
   beta_ = std::min(1.0, beta_ + config_.betaIncrement);
-  return mb;
+  transitions_.gatherInto(mb, lastIndices_);
 }
 
 void PrioritizedReplayBuffer::updatePriorities(std::span<const double> tdErrors) {

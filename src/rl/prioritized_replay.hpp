@@ -8,9 +8,11 @@
 /// components (paper reference [17]) the authors name as future work.
 ///
 /// Implements the same ExperienceSource/Sink interfaces as the uniform
-/// buffer so the trainer and agent are unchanged; the agent additionally
-/// feeds TD errors back through updatePriorities() when the source
-/// supports it (see DqnAgent::learn).
+/// buffer so the trainer and agent are unchanged, and keeps its
+/// transitions in one: only the SumTree over its slots, beta and the
+/// last minibatch's indices and weights live here. The agent
+/// additionally feeds TD errors back through updatePriorities() when
+/// the source supports it (see DqnAgent::learn).
 
 #include "src/common/rng.hpp"
 #include "src/rl/replay_buffer.hpp"
@@ -48,11 +50,14 @@ class PrioritizedReplayBuffer final : public PrioritizedSource, public Experienc
   void push(std::span<const double> state, int action, double reward,
             std::span<const double> nextState, bool terminal) override;
 
-  std::size_t size() const override { return count_; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const override { return transitions_.size(); }
+  std::size_t capacity() const { return transitions_.capacity(); }
   double beta() const { return beta_; }
 
   Minibatch sample(std::size_t batch, Rng& rng) const override;
+  /// In place, like ReplayBuffer::sampleInto, with the same draws as
+  /// sample().
+  void sampleInto(Minibatch& mb, std::size_t batch, Rng& rng) const override;
 
   const std::vector<std::size_t>& lastSampledIndices() const override { return lastIndices_; }
   const std::vector<double>& lastImportanceWeights() const override { return lastWeights_; }
@@ -61,19 +66,10 @@ class PrioritizedReplayBuffer final : public PrioritizedSource, public Experienc
   double priorityOf(std::size_t slot) const { return tree_.priority(slot); }
 
  private:
-  std::size_t capacity_;
-  std::size_t stateDim_;
+  ReplayBuffer transitions_;  ///< the ring; tree_ slot i prioritizes its slot i
   PrioritizedReplayConfig config_;
-  std::size_t count_ = 0;
-  std::size_t head_ = 0;
   double maxSeenPriority_ = 1.0;
   mutable double beta_;
-
-  std::vector<float> states_;
-  std::vector<float> nextStates_;
-  std::vector<int> actions_;
-  std::vector<float> rewards_;
-  std::vector<char> terminals_;
   SumTree tree_;
 
   mutable std::vector<std::size_t> lastIndices_;

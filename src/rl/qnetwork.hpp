@@ -4,8 +4,9 @@
 /// Q-value function approximators. MlpQNetwork is the paper's
 /// architecture (plain MLP, linear output per action). DuelingQNetwork
 /// is the paper's Section 5 future-work variant: a shared trunk feeding
-/// separate state-value and advantage heads recombined as
-/// Q = V + A - mean(A) (Wang et al. 2016).
+/// a state-value and K advantage outputs recombined as
+/// Q = V + A - mean(A) (Wang et al. 2016). Both run on one nn::Mlp, so
+/// both fold a static input prefix and split forward rows on the pool.
 
 #include <memory>
 #include <optional>
@@ -50,9 +51,10 @@ class QNetwork {
   virtual void copyWeightsFrom(const QNetwork& other) = 0;
 
   // --- Static-prefix folding (nn::Mlp::configureStaticPrefix) ----------
-  // Base defaults: no fold support. Architectures that can fold their
-  // input layer override; callers must handle a false return (e.g.
-  // DuelingQNetwork stays unfolded and the agent keeps full-width states).
+  // Base defaults: no fold support. Both architectures here fold their
+  // input layer; callers must still handle a false return (a degenerate
+  // prefix, or a network without fold support), and then keep
+  // full-width states.
 
   /// Try to fold the given constant input prefix. Returns false when the
   /// architecture doesn't support folding or the prefix is degenerate.
@@ -109,41 +111,45 @@ class MlpQNetwork final : public QNetwork {
   mutable std::optional<nn::FactoredPrefixGrad> factoredGrad_;
 };
 
-/// Dueling head: shared ReLU trunk, then V (1 unit) and A (K units)
-/// linear heads, Q_k = V + A_k - mean_j A_j.
+/// Dueling head: one nn::Mlp of dims {in, hidden..., 1 + K} whose
+/// output column 0 is V and columns 1..K are the advantages A, recombined
+/// as Q_k = V + A_k - mean_j A_j. Forward, predict, backward, the fold
+/// and the optimizer descriptor are the Mlp's, as for MlpQNetwork.
+/// Checkpoints hold the Mlp's 2L + 2 tensors (L hidden layers; the last
+/// pair is the merged [V; A] head).
 class DuelingQNetwork final : public QNetwork {
  public:
   DuelingQNetwork(std::size_t inputDim, const std::vector<std::size_t>& hidden, int actions,
                   Rng& rng, ThreadPool* pool = nullptr);
 
-  std::size_t inputDim() const override { return trunk_.front().inDim(); }
-  int actionCount() const override { return static_cast<int>(advHead_->outDim()); }
+  std::size_t inputDim() const override { return net_.inputDim(); }
+  int actionCount() const override { return static_cast<int>(net_.outputDim()) - 1; }
 
   const nn::Tensor& forward(const nn::Tensor& states) override;
   void predict(const nn::Tensor& states, nn::Tensor& q) const override;
   void backward(const nn::Tensor& dq) override;
-  void zeroGrad() override;
-  std::vector<nn::Tensor*> parameters() override;
-  std::vector<const nn::Tensor*> parameters() const override;
-  std::vector<nn::Tensor*> gradients() override;
+  void zeroGrad() override { net_.zeroGrad(); }
+  std::vector<nn::Tensor*> parameters() override { return net_.parameters(); }
+  std::vector<const nn::Tensor*> parameters() const override { return net_.parameters(); }
+  std::vector<nn::Tensor*> gradients() override { return net_.gradients(); }
   std::unique_ptr<QNetwork> clone() const override;
   void copyWeightsFrom(const QNetwork& other) override;
 
+  bool configureStaticPrefix(std::span<const double> staticPrefix) override {
+    return net_.configureStaticPrefix(staticPrefix);
+  }
+  bool foldActive() const override { return net_.foldActive(); }
+  std::size_t dynamicInputDim() const override { return net_.dynamicInputDim(); }
+  const nn::FactoredPrefixGrad* factoredGrad() const override;
+
+  nn::Mlp& net() { return net_; }
+  const nn::Mlp& net() const { return net_; }
+
  private:
-  void trunkForward(const nn::Tensor& x, nn::Tensor& out, std::vector<nn::Tensor>* inputs,
-                    std::vector<nn::Tensor>* masks) const;
-  static void combineHeads(const nn::Tensor& v, const nn::Tensor& a, nn::Tensor& q);
-
-  std::vector<nn::DenseLayer> trunk_;  ///< every trunk layer is ReLU-activated
-  std::unique_ptr<nn::DenseLayer> valueHead_;
-  std::unique_ptr<nn::DenseLayer> advHead_;
-  ThreadPool* pool_ = nullptr;
-
-  // Forward caches.
-  std::vector<nn::Tensor> trunkInputs_;
-  std::vector<nn::Tensor> trunkMasks_;
-  nn::Tensor trunkOut_;
-  nn::Tensor value_, advantage_, q_;
+  nn::Mlp net_;
+  nn::Tensor q_;     ///< forward()'s combined Q
+  nn::Tensor dOut_;  ///< backward()'s [dV | dA] scratch
+  mutable std::optional<nn::FactoredPrefixGrad> factoredGrad_;  // as MlpQNetwork's
 };
 
 }  // namespace dqndock::rl

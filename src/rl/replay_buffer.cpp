@@ -39,9 +39,8 @@ Minibatch ReplayBuffer::sample(std::size_t batch, Rng& rng) const {
   return mb;
 }
 
-void ReplayBuffer::sampleInto(Minibatch& mb, std::size_t batch, Rng& rng) const {
-  if (count_ == 0) throw std::logic_error("ReplayBuffer::sample: buffer is empty");
-  // Overwrite-resize: every row is filled below, and a steady-state
+void ReplayBuffer::shapeMinibatch(Minibatch& mb, std::size_t batch) const {
+  // Overwrite-resize: every row is filled by copyRow, and a steady-state
   // learn loop passes the same-shaped minibatch back in, so this is
   // pure reuse — no allocation, no zero sweep over 2 x B x stateDim.
   mb.states.resizeOverwrite(batch, stateDim_);
@@ -49,20 +48,34 @@ void ReplayBuffer::sampleInto(Minibatch& mb, std::size_t batch, Rng& rng) const 
   mb.actions.resize(batch);
   mb.rewards.resize(batch);
   mb.terminals.resize(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::size_t idx = rng.uniformInt(count_);
-    const float* s = states_.data() + idx * stateDim_;
-    const float* s2 = nextStates_.data() + idx * stateDim_;
-    double* ms = mb.states.data() + b * stateDim_;
-    double* ms2 = mb.nextStates.data() + b * stateDim_;
-    for (std::size_t i = 0; i < stateDim_; ++i) {
-      ms[i] = s[i];
-      ms2[i] = s2[i];
-    }
-    mb.actions[b] = actions_[idx];
-    mb.rewards[b] = rewards_[idx];
-    mb.terminals[b] = terminals_[idx];
+}
+
+void ReplayBuffer::copyRow(std::size_t slot, Minibatch& mb, std::size_t row) const {
+  const float* s = states_.data() + slot * stateDim_;
+  const float* s2 = nextStates_.data() + slot * stateDim_;
+  double* ms = mb.states.data() + row * stateDim_;
+  double* ms2 = mb.nextStates.data() + row * stateDim_;
+  for (std::size_t i = 0; i < stateDim_; ++i) {
+    ms[i] = s[i];
+    ms2[i] = s2[i];
   }
+  mb.actions[row] = actions_[slot];
+  mb.rewards[row] = rewards_[slot];
+  mb.terminals[row] = terminals_[slot];
+}
+
+void ReplayBuffer::sampleInto(Minibatch& mb, std::size_t batch, Rng& rng) const {
+  if (count_ == 0) throw std::logic_error("ReplayBuffer::sample: buffer is empty");
+  shapeMinibatch(mb, batch);
+  for (std::size_t b = 0; b < batch; ++b) copyRow(rng.uniformInt(count_), mb, b);
+}
+
+void ReplayBuffer::gatherInto(Minibatch& mb, std::span<const std::size_t> slots) const {
+  for (std::size_t slot : slots) {
+    if (slot >= count_) throw std::out_of_range("ReplayBuffer::gatherInto: slot not filled");
+  }
+  shapeMinibatch(mb, slots.size());
+  for (std::size_t b = 0; b < slots.size(); ++b) copyRow(slots[b], mb, b);
 }
 
 std::size_t ReplayBuffer::memoryBytes() const {

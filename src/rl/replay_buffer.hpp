@@ -43,8 +43,9 @@ class ExperienceSource {
   /// reuse the (batch x stateDim) tensors across calls instead of
   /// reallocating and zero-filling per minibatch. The default routes
   /// through sample(); implementations that can fill in place (the raw
-  /// ReplayBuffer) override it. Draws the same RNG sequence as
-  /// sample(), so switching call styles never perturbs a seeded run.
+  /// and the prioritized ReplayBuffer) override it. Draws the same RNG
+  /// sequence as sample(), so switching call styles never perturbs a
+  /// seeded run.
   virtual void sampleInto(Minibatch& mb, std::size_t batch, Rng& rng) const {
     mb = sample(batch, rng);
   }
@@ -76,10 +77,23 @@ class ReplayBuffer final : public ExperienceSource, public ExperienceSink {
   /// matches (no allocation, no zero pass).
   void sampleInto(Minibatch& mb, std::size_t batch, Rng& rng) const override;
 
+  /// The same in-place fill from chosen slots: row b of mb is the
+  /// transition in slots[b] (each < size()). Non-uniform samplers that
+  /// keep their own slot index (PrioritizedReplayBuffer) draw through it.
+  void gatherInto(Minibatch& mb, std::span<const std::size_t> slots) const;
+
+  /// The slot the next push() writes (the ring's head).
+  std::size_t nextSlot() const { return head_; }
+
   /// Approximate resident bytes of the stored experience.
   std::size_t memoryBytes() const;
 
  private:
+  /// Size mb for `batch` rows without zero-filling its tensors.
+  void shapeMinibatch(Minibatch& mb, std::size_t batch) const;
+  /// Copy the transition in `slot` into row `row` of mb.
+  void copyRow(std::size_t slot, Minibatch& mb, std::size_t row) const;
+
   std::size_t capacity_;
   std::size_t stateDim_;
   std::size_t count_ = 0;

@@ -54,13 +54,14 @@ class ModelRegistry {
   int actionCount() const { return actionCount_; }
 
   /// Fold the given constant input prefix out of the current network and
-  /// every future publish (nn::Mlp static-prefix factorization). Each
-  /// published network folds its own weights lazily on first predict, so
-  /// a hot-swap folds exactly once per model version. Returns false (and
-  /// stores nothing) when the current architecture rejects the fold;
-  /// subsequent publishes of foldable architectures then stay unfolded
-  /// too. Call before serving traffic: it mutates the current network's
-  /// fold configuration (not its weights).
+  /// every future publish (nn::Mlp static-prefix factorization; the plain
+  /// and the dueling Q-network both fold). Each published network folds
+  /// its own weights lazily on first predict, so a hot-swap folds exactly
+  /// once per model version. Returns false (and stores nothing) when the
+  /// current network rejects the fold (a degenerate prefix, or a network
+  /// without fold support); subsequent publishes then stay unfolded too.
+  /// Call before serving traffic: it mutates the current network's fold
+  /// configuration (not its weights).
   bool enableStaticPrefixFold(std::span<const double> staticPrefix);
   bool foldActive() const;
   /// Input width folded networks accept in addition to inputDim().

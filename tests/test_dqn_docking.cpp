@@ -181,5 +181,20 @@ TEST(DqnDockingTest, VariantsTrainOnDockingTask) {
   EXPECT_NO_THROW(system.train());
 }
 
+TEST(DqnDockingTest, DuelingFoldsTheReceptorBlockOfFullStates) {
+  // The dueling head runs on the same nn::Mlp as the paper's net, so it
+  // folds the constant receptor prefix of a full-with-bonds state too.
+  DqnDockingConfig cfg = fastConfig();
+  cfg.agent.dueling = true;
+  cfg.stateMode = StateMode::kFullWithBonds;
+  cfg.foldStatic = true;
+  cfg.trainer.episodes = 2;
+  DqnDocking system(cfg);
+  EXPECT_TRUE(system.foldActive());
+  EXPECT_TRUE(system.agent().target().foldActive());
+  EXPECT_NO_THROW(system.train());
+  EXPECT_EQ(system.metrics().size(), 2u);
+}
+
 }  // namespace
 }  // namespace dqndock::core

@@ -1,6 +1,7 @@
-// Tests for the MLP: shapes, ReLU semantics, finite-difference gradient
-// verification, weight copying, and the row-split forward on a pool
-// (bitwise the pool-less result, engaged only above its work floor).
+// Tests for the MLP: shapes, finite-difference gradient verification,
+// weight copying, and the row-split forward on a pool (bitwise the
+// pool-less result, engaged only above its work floor), for plain nets
+// and the dueling Q-network's merged-head net.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "src/nn/mlp.hpp"
+#include "src/rl/qnetwork.hpp"
 
 namespace dqndock::nn {
 namespace {
@@ -27,8 +29,8 @@ TEST(DenseLayerTest, ForwardShapeAndBias) {
   layer.bias()(0, 0) = 10.0;
   layer.bias()(0, 1) = -5.0;
   Tensor x(4, 3, 0.0);  // zero input -> output equals bias
-  Tensor y;
-  layer.forward(x, y, nullptr);
+  Tensor y(4, 2);
+  layer.forwardRows(x, y, 0, 4);
   ASSERT_EQ(y.rows(), 4u);
   ASSERT_EQ(y.cols(), 2u);
   for (std::size_t r = 0; r < 4; ++r) {
@@ -42,36 +44,8 @@ TEST(DenseLayerTest, ForwardDimMismatchThrows) {
   DenseLayer layer(3, 2);
   layer.initHe(rng);
   Tensor x(1, 5);
-  Tensor y;
-  EXPECT_THROW(layer.forward(x, y, nullptr), std::invalid_argument);
-}
-
-TEST(ReluTest, ForwardZeroesNegativesAndMasks) {
-  Tensor x(1, 4);
-  x(0, 0) = -1;
-  x(0, 1) = 2;
-  x(0, 2) = 0;
-  x(0, 3) = 0.5;
-  Tensor mask;
-  reluForward(x, mask);
-  EXPECT_DOUBLE_EQ(x(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(x(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(x(0, 2), 0.0);
-  EXPECT_DOUBLE_EQ(x(0, 3), 0.5);
-  EXPECT_DOUBLE_EQ(mask(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(mask(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(mask(0, 2), 0.0);
-  EXPECT_DOUBLE_EQ(mask(0, 3), 1.0);
-}
-
-TEST(ReluTest, BackwardAppliesMask) {
-  Tensor grad(1, 2, 3.0);
-  Tensor mask(1, 2);
-  mask(0, 0) = 0.0;
-  mask(0, 1) = 1.0;
-  reluBackward(grad, mask);
-  EXPECT_DOUBLE_EQ(grad(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(grad(0, 1), 3.0);
+  Tensor y(1, 2);
+  EXPECT_THROW(layer.forwardRows(x, y, 0, 1), std::invalid_argument);
 }
 
 TEST(MlpTest, ConstructionValidation) {
@@ -223,25 +197,30 @@ std::unique_ptr<Mlp> makeNet(const std::vector<std::size_t>& dims, std::size_t f
   return ::testing::AssertionSuccess();
 }
 
-/// predict, forward and the gradients of a backward after it, on `dims`
-/// at every row count, for 1-, 2-, 3- and 8-thread pools.
-void expectSplitMatchesPoolLess(const std::vector<std::size_t>& dims, std::size_t fold) {
-  auto serial = makeNet(dims, fold, nullptr);
-  const std::size_t width = fold > 0 ? serial->dynamicInputDim() : serial->inputDim();
+const Mlp& mlpOf(const Mlp& net) { return net; }
+const Mlp& mlpOf(const rl::DuelingQNetwork& net) { return net.net(); }
+
+/// predict, forward and the gradients of a backward after it, at every
+/// row count, for 1-, 2-, 3- and 8-thread pools. `make(pool)` builds the
+/// net from one seed: an Mlp, or a dueling Q-network on one.
+template <class MakeNet>
+void expectSplitMatchesPoolLess(const MakeNet& make) {
+  auto serial = make(nullptr);
+  const std::size_t width = serial->dynamicInputDim();
   for (std::size_t threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
-    auto pooled = makeNet(dims, fold, &pool);
+    auto pooled = make(&pool);
     bool split = false;
     for (std::size_t rows : kRowCounts) {
       SCOPED_TRACE("threads " + std::to_string(threads) + ", rows " + std::to_string(rows));
-      split = split || pooled->rowParts(rows) > 1;
+      split = split || mlpOf(*pooled).rowParts(rows) > 1;
       Rng rng(rows);
       const Tensor x = randomTensor(rows, width, rng);
-      const Tensor g = randomTensor(rows, dims.back(), rng);
       Tensor want, got;
       serial->predict(x, want);
       pooled->predict(x, got);
       EXPECT_TRUE(sameBits(want, got)) << "predict";
+      const Tensor g = randomTensor(rows, want.cols(), rng);
 
       serial->zeroGrad();
       pooled->zeroGrad();
@@ -258,6 +237,11 @@ void expectSplitMatchesPoolLess(const std::vector<std::size_t>& dims, std::size_
   }
 }
 
+/// An Mlp of `dims`, folded over its first `fold` inputs when fold > 0.
+void expectSplitMatchesPoolLess(const std::vector<std::size_t>& dims, std::size_t fold) {
+  expectSplitMatchesPoolLess([&](ThreadPool* pool) { return makeNet(dims, fold, pool); });
+}
+
 TEST(MlpRowSplit, FoldedPaperNetMatchesPoolLessTwin) {
   expectSplitMatchesPoolLess(kPaperDims, kPaperStatic);
 }
@@ -269,6 +253,17 @@ TEST(MlpRowSplit, UnfoldedNetMatchesPoolLessTwin) {
 TEST(MlpRowSplit, C51WideOutputMatchesPoolLessTwin) {
   // 12 actions x 51 atoms: the categorical head of the A4 C51 row.
   expectSplitMatchesPoolLess({36, 64, 64, 612}, 0);
+}
+
+TEST(MlpRowSplit, DuelingNetMatchesPoolLessTwin) {
+  // The dueling Q-network's [V | A] head on the folded Table 1 trunk.
+  expectSplitMatchesPoolLess([](ThreadPool* pool) {
+    Rng rng(2024);
+    auto net = std::make_unique<rl::DuelingQNetwork>(
+        kPaperDims.front(), std::vector<std::size_t>{135, 135}, 12, rng, pool);
+    EXPECT_TRUE(net->configureStaticPrefix(staticPrefix(kPaperStatic)));
+    return net;
+  });
 }
 
 TEST(MlpRowSplit, RowPartsSplitsOnlyAboveTheWorkFloor) {

@@ -163,18 +163,6 @@ TEST_P(GemmShapeTest, AtBAccumAccumulates) {
   expectNear(c, expected);
 }
 
-TEST_P(GemmShapeTest, ParallelMatchesSerial) {
-  const auto [m, k, n] = GetParam();
-  ThreadPool pool(4);
-  Rng rng(4);
-  const Tensor a = randomTensor(m, k, rng);
-  const Tensor b = randomTensor(n, k, rng);
-  Tensor serial, parallel;
-  gemmABt(a, b, serial, nullptr);
-  gemmABt(a, b, parallel, &pool);
-  expectNear(serial, parallel, 1e-12);
-}
-
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapeTest,
                          ::testing::Values(Shape{1, 1, 1}, Shape{2, 3, 4}, Shape{7, 5, 3},
                                            Shape{32, 135, 12}, Shape{64, 64, 64},
